@@ -24,7 +24,6 @@ from .encoder import (
     init_prf_encoder,
     load_params,
     save_params,
-    score,
 )
 from .evaluator import (
     MetricReport,
@@ -84,7 +83,6 @@ __all__ = [
     "recall_at_k",
     "sample_negatives",
     "save_params",
-    "score",
     "tokenize",
     "train",
     "write_run",

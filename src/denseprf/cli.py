@@ -92,8 +92,6 @@ class WorkspaceConfig:
             raise ValueError("prf_depth must be >= 1")
         if self.topk < 1:
             raise ValueError("topk must be >= 1")
-        if self.prf_depth > self.topk:
-            raise ValueError("prf_depth exceeds topk")
 
     @classmethod
     def load(cls, path) -> "WorkspaceConfig":
@@ -117,6 +115,13 @@ def _resolve(args, defaults: WorkspaceConfig | None = None) -> WorkspaceConfig:
         if flag is not None:
             updates[f.name] = flag
     return dataclasses.replace(cfg, **updates)
+
+
+def _prf_depth(cfg: WorkspaceConfig) -> PrfDepth:
+    """Feedback depth for the commands that compose feedback queries."""
+    if cfg.prf_depth > cfg.topk:
+        raise ValueError("prf_depth exceeds topk")
+    return PrfDepth(cfg.prf_depth)
 
 
 def _require(cfg: WorkspaceConfig, *names: str) -> list[str]:
@@ -207,13 +212,13 @@ def cmd_search_prf(args) -> int:
      corpus_path, queries_path, run_path) = _require(
         cfg, "vocab", "params", "prf_params", "index", "corpus", "queries", "run"
     )
+    depth = _prf_depth(cfg)
     vocab = Vocab.load(vocab_path)
     base = load_params(params_path)
     prf = load_params(prf_path)
     index = VectorIndex.load(index_path)
     texts = read_corpus_tsv(corpus_path)
     policy = CASES[cfg.case]
-    depth = PrfDepth(cfg.prf_depth)
     template = PrfTemplate(TEMPLATES[cfg.template], max_len=base.config.max_len)
     queries = read_queries_tsv(queries_path)
     per_query = [
@@ -237,6 +242,7 @@ def cmd_train(args) -> int:
      queries_path, qrels_path, out_path) = _require(
         cfg, "vocab", "params", "index", "corpus", "queries", "qrels", "prf_params"
     )
+    depth = _prf_depth(cfg)
     overrides = {
         k: v
         for k, v in (
@@ -268,7 +274,7 @@ def cmd_train(args) -> int:
     provider = training_example_provider(
         vocab, base, index, texts, queries, qrels,
         policy=CASES[cfg.case],
-        depth=PrfDepth(cfg.prf_depth),
+        depth=depth,
         template=PrfTemplate(TEMPLATES[cfg.template], max_len=base.config.max_len),
         cfg=train_cfg,
         negatives_seed=derive_seed(cfg.seed, SEED_NEGATIVES),

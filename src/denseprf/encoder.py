@@ -3,8 +3,13 @@
 The encoder embeds a token sequence, runs it through post-norm attention
 blocks, pools the final-layer representation at position 0 (the BOS slot)
 and applies a linear head followed by layer normalization.  Mask/padding
-positions attend like any other token.  Everything is float64 numpy; params
-are treated as immutable snapshots, so training steps build new ones.
+positions attend like any other token.  Everything is float64 numpy.
+
+All parameters of one encoder live in one contiguous float64 vector,
+``EncoderParams.flat``, laid out by ``param_layout``; the named tensors are
+views into it.  Gradients and optimizer moments use the same layout, so the
+optimizer updates whole vectors and params files are a header plus that one
+buffer.
 
 The analytic backward pass is checked against central finite differences in
 the test suite; keep the two in sync when touching either.
@@ -12,10 +17,13 @@ the test suite; keep the two in sync when touching either.
 
 from __future__ import annotations
 
+import functools
+import math
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Sequence
+from types import SimpleNamespace
+from typing import Sequence
 
 import numpy as np
 
@@ -39,6 +47,10 @@ class EncoderConfig:
     max_len: int = 512
 
     def __post_init__(self):
+        if self.dim < 1:
+            raise ValueError("dim must be >= 1")
+        if self.heads < 1:
+            raise ValueError("heads must be >= 1")
         if self.dim % self.heads != 0:
             raise ValueError("dim must be divisible by heads")
         if self.layers < 1:
@@ -53,51 +65,70 @@ class EncoderConfig:
         return 4 * self.dim
 
 
-@dataclass
-class LayerParams:
-    wq: np.ndarray
-    bq: np.ndarray
-    wk: np.ndarray
-    bk: np.ndarray
-    wv: np.ndarray
-    bv: np.ndarray
-    wo: np.ndarray
-    bo: np.ndarray
-    ln1_g: np.ndarray
-    ln1_b: np.ndarray
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: np.ndarray
-    ln2_g: np.ndarray
-    ln2_b: np.ndarray
-
-    FIELDS = (
-        "wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo",
-        "ln1_g", "ln1_b", "w1", "b1", "w2", "b2", "ln2_g", "ln2_b",
-    )
+LayoutEntry = tuple[str, int, tuple[int, ...]]
 
 
-@dataclass
-class HeadParams:
-    """Linear projection plus layer norm; serialized after the body so it
-    can be inherited or re-initialized independently."""
+@functools.lru_cache(maxsize=32)
+def param_layout(config: EncoderConfig) -> tuple[LayoutEntry, ...]:
+    """(name, offset, shape) of every tensor in the flat parameter vector.
 
-    w: np.ndarray
-    b: np.ndarray
-    ln_g: np.ndarray
-    ln_b: np.ndarray
+    This is the single definition of tensor names, order and sizes: the
+    PRFENC1 body, gradients and optimizer moments all follow it.
+    """
+    d, f = config.dim, config.ff_dim
+    layer_shapes = {
+        "wq": (d, d), "bq": (d,), "wk": (d, d), "bk": (d,),
+        "wv": (d, d), "bv": (d,), "wo": (d, d), "bo": (d,),
+        "ln1_g": (d,), "ln1_b": (d,), "w1": (d, f), "b1": (f,),
+        "w2": (f, d), "b2": (d,), "ln2_g": (d,), "ln2_b": (d,),
+    }
+    shapes = [("tok_emb", (config.vocab_size, d)), ("pos_emb", (config.max_len, d))]
+    for i in range(config.layers):
+        shapes += [(f"layers.{i}.{name}", shape) for name, shape in layer_shapes.items()]
+    shapes += [("head.w", (d, d)), ("head.b", (d,)), ("head.ln_g", (d,)), ("head.ln_b", (d,))]
+    layout, offset = [], 0
+    for name, shape in shapes:
+        layout.append((name, offset, shape))
+        offset += math.prod(shape)
+    return tuple(layout)
 
-    FIELDS = ("w", "b", "ln_g", "ln_b")
+
+def param_count(config: EncoderConfig) -> int:
+    _, offset, shape = param_layout(config)[-1]
+    return offset + math.prod(shape)
 
 
-@dataclass
 class EncoderParams:
-    config: EncoderConfig
-    tok_emb: np.ndarray
-    pos_emb: np.ndarray
-    layers: list[LayerParams]
-    head: HeadParams
+    """One encoder's parameters: a flat float64 vector plus named views.
+
+    ``tok_emb``, ``pos_emb``, ``layers[i].<name>`` and ``head.<name>`` are
+    reshaped views into ``flat`` built once here, so in-place writes through
+    any of them change ``flat``.  The head comes last in the layout so it can
+    be inherited or re-initialized independently of the body.
+    """
+
+    def __init__(self, config: EncoderConfig, flat: np.ndarray):
+        if flat.dtype != np.float64 or flat.shape != (param_count(config),):
+            raise ValueError("flat vector does not match the parameter layout")
+        self.config = config
+        self.flat = flat
+        views = {
+            name: flat[off:off + math.prod(shape)].reshape(shape)
+            for name, off, shape in param_layout(config)
+        }
+        self.tok_emb = views["tok_emb"]
+        self.pos_emb = views["pos_emb"]
+        self.layers = tuple(
+            _view_group(views, f"layers.{i}.") for i in range(config.layers)
+        )
+        self.head = _view_group(views, "head.")
+
+
+def _view_group(views: dict[str, np.ndarray], prefix: str) -> SimpleNamespace:
+    return SimpleNamespace(**{
+        name[len(prefix):]: view
+        for name, view in views.items() if name.startswith(prefix)
+    })
 
 
 class HeadPolicy(Enum):
@@ -105,79 +136,12 @@ class HeadPolicy(Enum):
     REINIT = "reinit"
 
 
-# ---------------------------------------------------------------------------
-# parameter plumbing
-# ---------------------------------------------------------------------------
-
-def named_arrays(params: EncoderParams) -> list[tuple[str, np.ndarray]]:
-    """All parameter tensors in the fixed traversal/serialization order."""
-    out = [("tok_emb", params.tok_emb), ("pos_emb", params.pos_emb)]
-    for i, layer in enumerate(params.layers):
-        for f in LayerParams.FIELDS:
-            out.append((f"layers.{i}.{f}", getattr(layer, f)))
-    for f in HeadParams.FIELDS:
-        out.append((f"head.{f}", getattr(params.head, f)))
-    return out
-
-
-def map_arrays(fn: Callable[..., np.ndarray], *params: EncoderParams) -> EncoderParams:
-    """Build a new EncoderParams by applying ``fn`` tensor-wise."""
-    first = params[0]
-    layers = [
-        LayerParams(**{
-            f: fn(*(getattr(p.layers[i], f) for p in params))
-            for f in LayerParams.FIELDS
-        })
-        for i in range(len(first.layers))
-    ]
-    head = HeadParams(**{
-        f: fn(*(getattr(p.head, f) for p in params)) for f in HeadParams.FIELDS
-    })
-    return EncoderParams(
-        config=first.config,
-        tok_emb=fn(*(p.tok_emb for p in params)),
-        pos_emb=fn(*(p.pos_emb for p in params)),
-        layers=layers,
-        head=head,
-    )
-
-
-def params_from_arrays(
-    config: EncoderConfig, arrays: dict[str, np.ndarray]
-) -> EncoderParams:
-    """Rebuild EncoderParams from a name -> tensor mapping (named_arrays keys)."""
-    layers = [
-        LayerParams(**{f: arrays[f"layers.{i}.{f}"] for f in LayerParams.FIELDS})
-        for i in range(config.layers)
-    ]
-    head = HeadParams(**{f: arrays[f"head.{f}"] for f in HeadParams.FIELDS})
-    return EncoderParams(
-        config=config,
-        tok_emb=arrays["tok_emb"],
-        pos_emb=arrays["pos_emb"],
-        layers=layers,
-        head=head,
-    )
-
-
-def zeros_like_params(params: EncoderParams) -> EncoderParams:
-    return map_arrays(np.zeros_like, params)
-
-
-def copy_params(params: EncoderParams) -> EncoderParams:
-    return map_arrays(np.copy, params)
-
-
 def params_allclose(a: EncoderParams, b: EncoderParams, atol: float = 0.0) -> bool:
     if a.config != b.config:
         return False
-    for (_, x), (_, y) in zip(named_arrays(a), named_arrays(b)):
-        if atol == 0.0:
-            if not np.array_equal(x, y):
-                return False
-        elif not np.allclose(x, y, rtol=0.0, atol=atol):
-            return False
-    return True
+    if atol == 0.0:
+        return bool(np.array_equal(a.flat, b.flat))
+    return bool(np.allclose(a.flat, b.flat, rtol=0.0, atol=atol))
 
 
 def init_params(config: EncoderConfig, seed: int, scale: float = 0.02) -> EncoderParams:
@@ -189,29 +153,17 @@ def init_params(config: EncoderConfig, seed: int, scale: float = 0.02) -> Encode
     if not 0.0 < scale < 10.0:
         raise ValueError("scale out of range")
     rng = np.random.default_rng(seed)
-
-    def w(*shape):
-        return rng.normal(0.0, scale, size=shape)
-
-    d, f = config.dim, config.ff_dim
-    layers = [
-        LayerParams(
-            wq=w(d, d), bq=np.zeros(d), wk=w(d, d), bk=np.zeros(d),
-            wv=w(d, d), bv=np.zeros(d), wo=w(d, d), bo=np.zeros(d),
-            ln1_g=np.ones(d), ln1_b=np.zeros(d),
-            w1=w(d, f), b1=np.zeros(f), w2=w(f, d), b2=np.zeros(d),
-            ln2_g=np.ones(d), ln2_b=np.zeros(d),
-        )
-        for _ in range(config.layers)
-    ]
-    head = HeadParams(w=w(d, d), b=np.zeros(d), ln_g=np.ones(d), ln_b=np.zeros(d))
-    return EncoderParams(
-        config=config,
-        tok_emb=w(config.vocab_size, d),
-        pos_emb=w(config.max_len, d),
-        layers=layers,
-        head=head,
-    )
+    params = EncoderParams(config, np.zeros(param_count(config)))
+    # The draw order is part of what a seed means; it is not the layout order.
+    for layer in params.layers:
+        for w in (layer.wq, layer.wk, layer.wv, layer.wo, layer.w1, layer.w2):
+            w[...] = rng.normal(0.0, scale, size=w.shape)
+        layer.ln1_g[...] = 1.0
+        layer.ln2_g[...] = 1.0
+    for w in (params.head.w, params.tok_emb, params.pos_emb):
+        w[...] = rng.normal(0.0, scale, size=w.shape)
+    params.head.ln_g[...] = 1.0
+    return params
 
 
 def init_prf_encoder(
@@ -222,23 +174,15 @@ def init_prf_encoder(
     Re-initialization draws head.w uniformly from +-1/sqrt(dim), zeroes
     head.b and resets the head layer norm to identity (gain 1, bias 0).
     """
-    new = copy_params(base)
+    new = EncoderParams(base.config, base.flat.copy())
     if head_policy is HeadPolicy.REINIT:
         d = base.config.dim
         rng = np.random.default_rng(seed)
         bound = 1.0 / np.sqrt(d)
-        new.head = HeadParams(
-            w=rng.uniform(-bound, bound, size=(d, d)),
-            b=np.zeros(d),
-            ln_g=np.ones(d),
-            ln_b=np.zeros(d),
-        )
-    return new
-
-
-def replace_head(params: EncoderParams, head: HeadParams) -> EncoderParams:
-    new = copy_params(params)
-    new.head = HeadParams(**{f: np.copy(getattr(head, f)) for f in HeadParams.FIELDS})
+        new.head.w[...] = rng.uniform(-bound, bound, size=(d, d))
+        new.head.b[...] = 0.0
+        new.head.ln_g[...] = 1.0
+        new.head.ln_b[...] = 0.0
     return new
 
 
@@ -343,20 +287,6 @@ def encode(params: EncoderParams, tokens: TokenSequence) -> EmbeddingVector:
     return out
 
 
-def score(q: EmbeddingVector, d: EmbeddingVector) -> float:
-    """Inner product with fixed left-to-right accumulation order.
-
-    Sequential summation keeps the reference scorer bitwise reproducible and
-    directly comparable with a plain loop; bulk scoring lives in the index.
-    """
-    if q.shape != d.shape:
-        raise ValueError("dimension mismatch")
-    total = 0.0
-    for a, b in zip(q.tolist(), d.tolist()):
-        total += a * b
-    return total
-
-
 # ---------------------------------------------------------------------------
 # loss and gradients
 # ---------------------------------------------------------------------------
@@ -418,7 +348,7 @@ def grad(
     if not batch:
         raise ValueError("empty batch")
     cfg = params.config
-    grads = zeros_like_params(params)
+    grads = EncoderParams(cfg, np.zeros_like(params.flat))
     total_loss = 0.0
 
     for i, ex in enumerate(batch):
@@ -501,8 +431,7 @@ def grad(
         grads.pos_emb[:t] += dx
         np.add.at(grads.tok_emb, idx, dx)
 
-    inv_n = 1.0 / len(batch)
-    grads = map_arrays(lambda g: g * inv_n, grads)
+    grads.flat *= 1.0 / len(batch)
     return total_loss / len(batch), grads
 
 
@@ -511,14 +440,14 @@ def grad(
 # ---------------------------------------------------------------------------
 
 def save_params(params: EncoderParams, path) -> None:
+    """PRFENC1 magic, the architecture header, then ``flat`` as <f8."""
     cfg = params.config
     with open(path, "wb") as fh:
         fh.write(PARAMS_MAGIC)
         fh.write(struct.pack(
             "<5i", cfg.dim, cfg.layers, cfg.heads, cfg.max_len, cfg.vocab_size
         ))
-        for _, arr in named_arrays(params):
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+        fh.write(params.flat.astype("<f8", copy=False).tobytes())
 
 
 def load_params(path) -> EncoderParams:
@@ -535,22 +464,10 @@ def load_params(path) -> EncoderParams:
     cfg = EncoderConfig(
         vocab_size=vocab_size, dim=dim, layers=layers, heads=heads, max_len=max_len
     )
-    template = init_params(cfg, seed=0)
-
-    # Read tensors in the exact order save_params wrote them.
-    arrays: dict[str, np.ndarray] = {}
-    for name, arr in named_arrays(template):
-        n = arr.size * 8
-        if off + n > len(data):
-            raise ValueError("corrupt params file")
-        arrays[name] = (
-            np.frombuffer(data[off:off + n], dtype="<f8").reshape(arr.shape).copy()
-        )
-        off += n
-    loaded = params_from_arrays(cfg, arrays)
-    if off != len(data):
+    # Size check before any allocation: the header is untrusted.
+    if len(data) - off != 8 * param_count(cfg):
         raise ValueError("corrupt params file")
-    for _, arr in named_arrays(loaded):
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("corrupt params file")
-    return loaded
+    flat = np.frombuffer(data, dtype="<f8", offset=off).astype(np.float64)
+    if not np.all(np.isfinite(flat)):
+        raise ValueError("corrupt params file")
+    return EncoderParams(cfg, flat)

@@ -185,7 +185,8 @@ def read_corpus_tsv(path) -> dict[str, str]:
             if not line:
                 continue
             parts = line.split("\t", 1)
-            if len(parts) != 2 or not parts[0]:
+            # An id is one non-empty, whitespace-free run-file column.
+            if len(parts) != 2 or parts[0].split() != [parts[0]]:
                 raise ValueError(f"malformed corpus line {n}")
             if parts[0] in docs:
                 raise ValueError(f"duplicate doc_id {parts[0]}")
@@ -202,7 +203,8 @@ def read_queries_tsv(path) -> list[tuple[str, str]]:
             if not line:
                 continue
             parts = line.split("\t", 1)
-            if len(parts) != 2 or not parts[0]:
+            # An id is one non-empty, whitespace-free run-file column.
+            if len(parts) != 2 or parts[0].split() != [parts[0]]:
                 raise ValueError(f"malformed queries line {n}")
             if parts[0] in seen:
                 raise ValueError(f"duplicate query_id {parts[0]}")

@@ -210,7 +210,8 @@ def cluster_token_embeddings(
     """
     rng = np.random.default_rng([cfg.seed, 4])
     dim = params.config.dim
-    tok = params.tok_emb.copy()
+    shaped = EncoderParams(params.config, params.flat.copy())
+    tok = shaped.tok_emb
 
     def place(word: str, make):
         for surface in (word, word.capitalize()):
@@ -224,7 +225,7 @@ def cluster_token_embeddings(
             place(word, lambda: centroid + rng.normal(0.0, cfg.word_scale, size=dim))
     for word in task.background:
         place(word, lambda: rng.normal(0.0, cfg.background_scale, size=dim))
-    return replace(params, tok_emb=tok)
+    return shaped
 
 
 # -- experiment driver -------------------------------------------------------

@@ -11,12 +11,12 @@ averages microbatch-mean gradients so that (batch b, accum a) matches
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, fields
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from . import encoder
 from .composer import PrfDepth, PrfTemplate, compose
 from .encoder import (
     EncoderParams,
@@ -24,9 +24,8 @@ from .encoder import (
     HeadPolicy,
     grad,
     init_prf_encoder,
-    map_arrays,
-    named_arrays,
     nce_terms,
+    param_layout,
 )
 from .index import VectorIndex
 from .pipeline import first_round, results_to_run
@@ -102,10 +101,10 @@ class TrainConfig:
 
 @dataclass
 class OptimizerState:
-    """Adam moment accumulators keyed by parameter tensor name."""
+    """Adam moment accumulators, flat vectors in the params layout."""
 
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
+    m: np.ndarray
+    v: np.ndarray
     step: int = 0
     beta1: float = 0.9
     beta2: float = 0.999
@@ -114,9 +113,7 @@ class OptimizerState:
 
     @classmethod
     def for_params(cls, params: EncoderParams, **hyper) -> "OptimizerState":
-        m = {name: np.zeros_like(a) for name, a in named_arrays(params)}
-        v = {name: np.zeros_like(a) for name, a in named_arrays(params)}
-        return cls(m=m, v=v, **hyper)
+        return cls(m=np.zeros_like(params.flat), v=np.zeros_like(params.flat), **hyper)
 
 
 @dataclass(frozen=True)
@@ -289,37 +286,32 @@ def optimizer_step(
     LAMB rescales the per-tensor AdamW update by ||w||/||update|| clipped to
     [0, 10], falling back to 1 when either norm is zero.
     """
-    for name, g in named_arrays(grads):
-        if not np.all(np.isfinite(g)):
-            raise ValueError(f"non-finite gradient: {name}")
+    layout = param_layout(params.config)
+    w, g = params.flat, grads.flat
+    finite = np.isfinite(g)
+    if not finite.all():
+        first = int(np.argmin(finite))
+        name = next(name for name, off, _ in reversed(layout) if off <= first)
+        raise ValueError(f"non-finite gradient: {name}")
     t = state.step + 1
     b1, b2 = state.beta1, state.beta2
     bc1 = 1.0 - b1 ** t
     bc2 = 1.0 - b2 ** t
-    new_m: dict[str, np.ndarray] = {}
-    new_v: dict[str, np.ndarray] = {}
-    updates: dict[str, np.ndarray] = {}
-
-    for (name, w), (_, g) in zip(named_arrays(params), named_arrays(grads)):
-        m = b1 * state.m[name] + (1.0 - b1) * g
-        v = b2 * state.v[name] + (1.0 - b2) * (g * g)
-        new_m[name] = m
-        new_v[name] = v
-        upd = (m / bc1) / (np.sqrt(v / bc2) + state.eps) + state.weight_decay * w
-        if cfg.optimizer == "lamb":
-            wn = float(np.linalg.norm(w))
-            un = float(np.linalg.norm(upd))
+    m = b1 * state.m + (1.0 - b1) * g
+    v = b2 * state.v + (1.0 - b2) * (g * g)
+    upd = (m / bc1) / (np.sqrt(v / bc2) + state.eps) + state.weight_decay * w
+    if cfg.optimizer == "lamb":
+        for _, off, shape in layout:
+            seg = slice(off, off + math.prod(shape))
+            # np.add.reduceat would sum in another order and change the bits.
+            wn = float(np.linalg.norm(w[seg]))
+            un = float(np.linalg.norm(upd[seg]))
             trust = 1.0 if wn == 0.0 or un == 0.0 else min(wn / un, 10.0)
-            upd = trust * upd
-        updates[name] = upd
+            upd[seg] *= trust
 
-    new_arrays = {
-        name: w - cfg.learning_rate * updates[name]
-        for name, w in named_arrays(params)
-    }
-    new_params = encoder.params_from_arrays(params.config, new_arrays)
+    new_params = EncoderParams(params.config, w - cfg.learning_rate * upd)
     new_state = OptimizerState(
-        m=new_m, v=new_v, step=t,
+        m=m, v=v, step=t,
         beta1=b1, beta2=b2, eps=state.eps, weight_decay=state.weight_decay,
     )
     return new_state, new_params
@@ -381,16 +373,17 @@ def train(
         rng = np.random.default_rng([cfg.seed, epoch])
         order = rng.permutation(len(examples))
 
-        acc: EncoderParams | None = None
+        acc: np.ndarray | None = None
         acc_losses: list[float] = []
 
         def flush():
             nonlocal acc, acc_losses, state, params, step
             if acc is None:
                 return
-            inv = 1.0 / len(acc_losses)
-            mean_grads = map_arrays(lambda g: g * inv, acc)
-            state, params = optimizer_step(state, params, mean_grads, cfg)
+            acc *= 1.0 / len(acc_losses)
+            state, params = optimizer_step(
+                state, params, EncoderParams(params.config, acc), cfg
+            )
             step += 1
             log.append(TrainLogEntry(
                 step=step, loss=float(np.mean(acc_losses)),
@@ -403,7 +396,10 @@ def train(
             micro = [examples[i] for i in order[start:start + cfg.batch_size]]
             resolved = _resolve_batch(micro, doc_index, cfg.in_batch_negatives)
             loss, grads = grad(params, resolved)
-            acc = grads if acc is None else map_arrays(np.add, acc, grads)
+            if acc is None:
+                acc = grads.flat
+            else:
+                acc += grads.flat
             acc_losses.append(loss)
             if len(acc_losses) == cfg.grad_accum_steps:
                 flush()

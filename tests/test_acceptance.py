@@ -25,7 +25,7 @@ from denseprf.encoder import (
     batch_loss,
     grad,
     init_params,
-    named_arrays,
+    param_layout,
     params_allclose,
 )
 from denseprf.evaluator import mrr_at_k, ndcg_at_k, paired_t_test, recall_at_k
@@ -197,11 +197,9 @@ def test_c04_gradients_match_finite_differences(acceptance_lines):
                     negatives=rng.normal(size=(int(rng.integers(1, 5)), 16)),
                 ))
             _, g = grad(params, batch)
-            g_arrays = dict(named_arrays(g))
-            for name, arr in named_arrays(params):
-                flat = arr.reshape(-1)
-                gflat = g_arrays[name].reshape(-1)
-                for i in range(flat.size):
+            flat, gflat = params.flat, g.flat
+            for name, off, shape in param_layout(cfg):
+                for i in range(off, off + math.prod(shape)):
                     orig = flat[i]
                     flat[i] = orig + step
                     up = batch_loss(params, batch)
@@ -212,7 +210,7 @@ def test_c04_gradients_match_finite_differences(acceptance_lines):
                     analytic = gflat[i]
                     rel = abs(analytic - fd) / max(abs(analytic), abs(fd), 1e-3)
                     worst = max(worst, rel)
-                    assert rel <= 1e-4, f"{name}[{i}]: {analytic} vs {fd}"
+                    assert rel <= 1e-4, f"{name}[{i - off}]: {analytic} vs {fd}"
         info["detail"] = f"every coordinate, 20 batches, max rel err {worst:.1e}"
 
 
@@ -278,10 +276,7 @@ def test_c06_accumulation_equals_large_batch(acceptance_lines):
         assert params_allclose(params_a, params_b, atol=1e-10)
         assert abs(log_a[0].loss - log_b[0].loss) <= 1e-10
 
-        gap = max(
-            float(np.max(np.abs(a - b)))
-            for (_, a), (_, b) in zip(named_arrays(params_a), named_arrays(params_b))
-        )
+        gap = float(np.max(np.abs(params_a.flat - params_b.flat)))
         info["detail"] = f"batch 4 x accum 8 vs batch 32, max param gap {gap:.1e}"
 
 

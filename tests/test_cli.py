@@ -241,10 +241,47 @@ def test_bad_template_in_config_exits_2(ws, capsys):
 
 
 def test_depth_exceeding_topk_exits_2(ws, capsys):
+    build_base(ws)
     cfg_path = ws / "bad.json"
-    cfg_path.write_text(json.dumps({"prf_depth": 5, "topk": 3}))
-    assert main(["eval", "--config", str(cfg_path)]) == 2
-    assert "prf_depth exceeds topk" in capsys.readouterr().err
+    cfg_path.write_text(json.dumps({
+        "vocab": p(ws, "vocab.txt"), "params": p(ws, "base.enc"),
+        "prf_params": p(ws, "prf.enc"), "index": p(ws, "docs.idx"),
+        "corpus": p(ws, "corpus.tsv"), "queries": p(ws, "queries.tsv"),
+        "qrels": p(ws, "qrels.txt"), "run": p(ws, "prf.run"),
+        "prf_depth": 5, "topk": 3,
+    }))
+    for command in ("search-prf", "train"):
+        assert main([command, "--config", str(cfg_path)]) == 2
+        assert "prf_depth exceeds topk" in capsys.readouterr().err
+
+
+def test_search_topk_below_default_prf_depth(ws):
+    # First-round search never uses prf_depth (default 3).
+    build_base(ws)
+    assert main([
+        "search", "--vocab", p(ws, "vocab.txt"), "--params", p(ws, "base.enc"),
+        "--index", p(ws, "docs.idx"), "--queries", p(ws, "queries.tsv"),
+        "--run", p(ws, "base.run"), "--topk", "2",
+    ]) == 0
+    assert max(e.rank for e in read_run(ws / "base.run").entries) == 2
+
+
+def test_whitespace_in_ids_exits_2(ws, capsys):
+    # Run files separate columns by whitespace, so such ids could not be read back.
+    build_base(ws)
+    (ws / "bad_corpus.tsv").write_text("d 1\tgarden fox\n")
+    assert main([
+        "encode-corpus", "--vocab", p(ws, "vocab.txt"), "--params", p(ws, "base.enc"),
+        "--corpus", p(ws, "bad_corpus.tsv"), "--index", p(ws, "bad.idx"),
+    ]) == 2
+    assert "malformed corpus line 1" in capsys.readouterr().err
+    (ws / "bad_queries.tsv").write_text("t1\tquantum flux\nt\u00a02\tgarden\n")
+    assert main([
+        "search", "--vocab", p(ws, "vocab.txt"), "--params", p(ws, "base.enc"),
+        "--index", p(ws, "docs.idx"), "--queries", p(ws, "bad_queries.tsv"),
+        "--run", p(ws, "bad.run"),
+    ]) == 2
+    assert "malformed queries line 2" in capsys.readouterr().err
 
 
 def test_unknown_train_key_exits_2(ws, capsys):

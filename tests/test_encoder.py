@@ -1,25 +1,27 @@
+import hashlib
+import math
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from denseprf.encoder import (
+    PARAMS_MAGIC,
     EncoderConfig,
     GradExample,
     HeadPolicy,
     batch_loss,
-    copy_params,
     encode,
     grad,
     init_params,
     init_prf_encoder,
     load_params,
-    map_arrays,
-    named_arrays,
     nce_terms,
+    param_count,
+    param_layout,
     params_allclose,
-    params_from_arrays,
     save_params,
-    score,
-    zeros_like_params,
 )
 from denseprf.tokenizer import CasePolicy, TokenSequence
 
@@ -49,6 +51,12 @@ def test_config_validation():
         EncoderConfig(vocab_size=10, dim=8, heads=2, max_len=4)
     with pytest.raises(ValueError, match="vocab_size"):
         EncoderConfig(vocab_size=0, dim=8, heads=2)
+    with pytest.raises(ValueError, match="heads must be >= 1"):
+        EncoderConfig(vocab_size=10, dim=8, heads=0)
+    with pytest.raises(ValueError, match="heads must be >= 1"):
+        EncoderConfig(vocab_size=10, dim=8, heads=-2)
+    with pytest.raises(ValueError, match="dim must be >= 1"):
+        EncoderConfig(vocab_size=10, dim=-8, heads=2)
     assert EncoderConfig(vocab_size=10, dim=8, heads=2).ff_dim == 32
 
 
@@ -78,38 +86,27 @@ def test_init_params_identity_norms_zero_biases():
     assert np.array_equal(p.head.b, np.zeros(8))
 
 
-# -- parameter plumbing ---------------------------------------------------------
+# -- parameter layout ------------------------------------------------------------
 
 
-def test_named_arrays_round_trip():
+def test_layout_tiles_flat_in_file_order():
     p = small_params(layers=2)
-    rebuilt = params_from_arrays(p.config, dict(named_arrays(p)))
-    assert params_allclose(p, rebuilt)
-
-
-def test_named_arrays_order_and_count():
-    p = small_params(layers=2)
-    names = [n for n, _ in named_arrays(p)]
-    assert names[0] == "tok_emb"
-    assert names[1] == "pos_emb"
-    assert names[2] == "layers.0.wq"
-    assert names[-1] == "head.ln_b"
-    assert len(names) == 2 + 2 * 16 + 4
-
-
-def test_copy_params_is_deep():
-    p = small_params()
-    q = copy_params(p)
-    q.tok_emb[0, 0] += 1.0
-    assert p.tok_emb[0, 0] != q.tok_emb[0, 0]
-
-
-def test_zeros_like_and_map_arrays():
-    p = small_params()
-    z = zeros_like_params(p)
-    assert all(not arr.any() for _, arr in named_arrays(z))
-    doubled = map_arrays(lambda a, b: a + b, p, p)
-    assert np.allclose(doubled.tok_emb, 2.0 * p.tok_emb)
+    layout = param_layout(p.config)
+    names = [name for name, _, _ in layout]
+    assert names[:3] == ["tok_emb", "pos_emb", "layers.0.wq"]
+    assert names[-4:] == ["head.w", "head.b", "head.ln_g", "head.ln_b"]
+    assert len(names) == len(set(names)) == 2 + 2 * 16 + 4
+    offset = 0
+    for name, off, shape in layout:
+        assert off == offset, name
+        offset += math.prod(shape)
+    assert offset == param_count(p.config) == p.flat.size
+    assert p.flat.dtype == np.float64
+    assert p.tok_emb.shape == (12, 8) and p.layers[1].w1.shape == (8, 32)
+    # named tensors are views: writes land in flat at the layout offset
+    _, off, _ = layout[names.index("layers.1.w2")]
+    p.layers[1].w2[0, 1] = 123.0
+    assert p.flat[off + 1] == 123.0
 
 
 # -- forward pass ----------------------------------------------------------------
@@ -129,8 +126,8 @@ def test_annihilating_head_gives_zero_vector():
     # Zero head weight and bias collapse z to the zero vector; layer norm of a
     # constant vector is exactly zero when the gain is 1 and bias is 0.
     p = small_params()
-    p.head.w = np.zeros_like(p.head.w)
-    p.head.b = np.zeros_like(p.head.b)
+    p.head.w[...] = 0.0
+    p.head.b[...] = 0.0
     out = encode(p, seq(0, 3, 5, 1))
     assert np.array_equal(out, np.zeros(8))
 
@@ -163,25 +160,6 @@ def test_mask_positions_participate():
     short = encode(p, seq(0, 4, 1))
     padded = encode(p, seq(0, 4, 1, 2, 2, 2))
     assert not np.allclose(short, padded)
-
-
-# -- scoring -----------------------------------------------------------------------
-
-
-def test_score_matches_dot():
-    rng = np.random.default_rng(0)
-    for _ in range(3):
-        q = rng.normal(size=8)
-        d = rng.normal(size=8)
-        manual = 0.0
-        for a, b in zip(q, d):
-            manual += float(a) * float(b)
-        assert score(q, d) == manual
-
-
-def test_score_dimension_mismatch():
-    with pytest.raises(ValueError, match="dimension mismatch"):
-        score(np.zeros(4), np.zeros(5))
 
 
 # -- head policy ---------------------------------------------------------------------
@@ -282,13 +260,11 @@ def test_grad_matches_finite_differences():
         batch = make_batch(p, rng)
         loss, g = grad(p, batch)
         assert abs(loss - batch_loss(p, batch)) <= 1e-12
-        arrays = dict(named_arrays(p))
-        grads = dict(named_arrays(g))
-        for name, arr in arrays.items():
-            flat = arr.reshape(-1)
-            gflat = grads[name].reshape(-1)
+        flat, gflat = p.flat, g.flat
+        for name, off, shape in param_layout(p.config):
+            size = math.prod(shape)
             # probe a handful of coordinates per tensor
-            idx = rng.choice(flat.size, size=min(5, flat.size), replace=False)
+            idx = off + rng.choice(size, size=min(5, size), replace=False)
             for j in idx:
                 orig = flat[j]
                 flat[j] = orig + step
@@ -298,14 +274,14 @@ def test_grad_matches_finite_differences():
                 flat[j] = orig
                 fd = (hi - lo) / (2.0 * step)
                 rel = abs(gflat[j] - fd) / max(abs(gflat[j]), abs(fd), 1e-6)
-                assert rel <= 1e-4, f"{name}[{j}]: analytic {gflat[j]} vs fd {fd}"
+                assert rel <= 1e-4, f"{name}[{j - off}]: analytic {gflat[j]} vs fd {fd}"
 
 
 def test_grad_zero_when_head_ln_gain_zero():
     # With the head layer-norm gain zeroed the output is constant in every
     # upstream parameter, so upstream gradients vanish.
     p = small_params()
-    p.head.ln_g = np.zeros_like(p.head.ln_g)
+    p.head.ln_g[...] = 0.0
     rng = np.random.default_rng(3)
     batch = make_batch(p, rng)
     _, g = grad(p, batch)
@@ -381,3 +357,29 @@ def test_load_rejects_non_finite(tmp_path):
     save_params(p, path)
     with pytest.raises(ValueError, match="corrupt params file"):
         load_params(path)
+
+
+def test_load_checks_size_before_allocating(tmp_path):
+    # A header claiming a 200,000 x 64 token table (~100 MB) with no body must
+    # be rejected from the file length alone.
+    path = tmp_path / "huge.bin"
+    path.write_bytes(PARAMS_MAGIC + struct.pack("<5i", 64, 2, 4, 512, 200_000))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="corrupt params file"):
+            load_params(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+def _file_digest(params, path):
+    save_params(params, path)
+    return hashlib.blake2b(path.read_bytes(), digest_size=16).hexdigest()
+
+
+def test_params_file_golden_digest(tmp_path):
+    # Pins the PRFENC1 byte layout and the init draw order.
+    p = small_params(layers=2)
+    assert _file_digest(p, tmp_path / "p.enc") == "5e4dda9412ce79a29690ac6e95208a0f"

@@ -1,15 +1,18 @@
+import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
 
 from denseprf.encoder import (
     EncoderConfig,
+    EncoderParams,
     HeadPolicy,
     init_params,
-    named_arrays,
+    param_layout,
     params_allclose,
-    zeros_like_params,
+    save_params,
 )
 from denseprf.evaluator import Qrels
 from denseprf.index import VectorIndex
@@ -217,6 +220,10 @@ def test_sample_negatives_errors():
 # -- optimizer ----------------------------------------------------------------------
 
 
+def zeros_like_params(params):
+    return EncoderParams(params.config, np.zeros_like(params.flat))
+
+
 def single_weight_setup(value, grad_value):
     """Params with every tensor zeroed except tok_emb[0,0]; matching grads."""
     params = zeros_like_params(small_params())
@@ -281,9 +288,7 @@ def test_lamb_zero_weight_norm_falls_back_to_adamw():
 def test_lamb_trust_ratio_matches_adamw_rescale():
     params = small_params()
     rng = np.random.default_rng(1)
-    grads = zeros_like_params(params)
-    for _, arr in named_arrays(grads):
-        arr[:] = rng.normal(scale=0.01, size=arr.shape)
+    grads = EncoderParams(params.config, rng.normal(scale=0.01, size=params.flat.size))
     lr = 0.1
     _, adamw_new = optimizer_step(
         OptimizerState.for_params(params), params, grads,
@@ -291,9 +296,9 @@ def test_lamb_trust_ratio_matches_adamw_rescale():
     _, lamb_new = optimizer_step(
         OptimizerState.for_params(params), params, grads,
         TrainConfig(optimizer="lamb", learning_rate=lr))
-    for (name, w), (_, aw), (_, lw) in zip(
-        named_arrays(params), named_arrays(adamw_new), named_arrays(lamb_new)
-    ):
+    for name, off, shape in param_layout(params.config):
+        seg = slice(off, off + math.prod(shape))
+        w, aw, lw = params.flat[seg], adamw_new.flat[seg], lamb_new.flat[seg]
         upd = (w - aw) / lr
         wn = float(np.linalg.norm(w))
         un = float(np.linalg.norm(upd))
@@ -328,7 +333,7 @@ def test_optimizer_moments_accumulate_across_steps():
     for expected_step in (1, 2, 3):
         state, params = optimizer_step(state, params, grads, cfg)
         assert state.step == expected_step
-    assert state.m["tok_emb"][0, 0] > 0.0
+    assert EncoderParams(params.config, state.m).tok_emb[0, 0] > 0.0
     assert params.tok_emb[0, 0] < 0.0
 
 
@@ -350,6 +355,22 @@ def test_accumulation_matches_large_batch():
     assert len(log_a) == len(log_b) == 1
     assert params_allclose(params_a, params_b, atol=1e-10)
     assert abs(log_a[0].loss - log_b[0].loss) <= 1e-10
+
+
+def test_lamb_accumulation_golden_digest(tmp_path):
+    # Three LAMB steps (accum 3, 3, then a ragged 2) on the accumulation
+    # fixture; pins the optimizer arithmetic bit for bit.
+    rng = np.random.default_rng(9)
+    index = small_index(rng)
+    base = small_params()
+    examples = make_examples(rng, index, 32)
+    params, log = train(examples, base, index, TrainConfig(
+        optimizer="lamb", learning_rate=1e-3, batch_size=4, grad_accum_steps=3,
+        epochs=1, seed=5))
+    assert len(log) == 3
+    save_params(params, tmp_path / "lamb.enc")
+    digest = hashlib.blake2b((tmp_path / "lamb.enc").read_bytes(), digest_size=16)
+    assert digest.hexdigest() == "f0bee376e6d2a535c2dadf3db4068f91"
 
 
 def test_train_is_deterministic_for_seed():
