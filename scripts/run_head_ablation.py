@@ -7,8 +7,10 @@ Reports the step-0 retrieval identity check and final eval MRR@10 per arm.
 """
 
 import argparse
+from dataclasses import replace
 
-from denseprf.synth import ExperimentConfig, head_ablation
+from denseprf.encoder import HeadPolicy
+from denseprf.synth import ExperimentConfig, prepare_artifacts, run_experiment
 
 
 def main() -> None:
@@ -16,15 +18,20 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=0, help="master seed")
     args = parser.parse_args()
 
-    inherit, reinit = head_ablation(ExperimentConfig().with_seed(args.seed))
-    for arm in (inherit, reinit):
+    exp = ExperimentConfig().with_seed(args.seed)
+    art = prepare_artifacts(exp)
+    final = {}
+    for policy in (HeadPolicy.INHERIT, HeadPolicy.REINIT):
+        arm_exp = replace(exp, train=replace(exp.train, head_policy=policy))
+        arm = run_experiment(arm_exp, art)
+        final[policy] = arm.prf_mrr
         losses = arm.epoch_losses
         trajectory = " ".join(f"{losses[e]:.4f}" for e in sorted(losses))
-        print(f"{arm.head_policy.name.lower():>7}:"
+        print(f"{policy.name.lower():>7}:"
               f" step-0 ranking matches base encoder: {arm.step0_matches_base};"
-              f" final MRR@10 {arm.final_mrr:.4f}")
+              f" final MRR@10 {arm.prf_mrr:.4f}")
         print(f"         epoch mean loss: {trajectory}")
-    gap = inherit.final_mrr - reinit.final_mrr
+    gap = final[HeadPolicy.INHERIT] - final[HeadPolicy.REINIT]
     print(f"inherit - reinit MRR@10 gap: {gap:+.4f}")
 
 

@@ -3,15 +3,15 @@
 
 Generates the topic-cluster task, indexes the corpus under a frozen random
 encoder, trains the feedback query encoder, and reports first-round vs
-feedback-round MRR@10 together with the training trajectory and the
-two-round instrumentation counters.
+feedback-round MRR@10, the step-0 feedback MRR@10 of the untrained feedback
+encoder, the training trajectory and the two-round instrumentation counters.
 """
 
 import argparse
 from dataclasses import replace
 
 from denseprf.evaluator import mrr_at_k, paired_t_test
-from denseprf.synth import ExperimentConfig, generate, run_experiment
+from denseprf.synth import ExperimentConfig, prepare_artifacts, run_experiment
 
 
 def main() -> None:
@@ -27,7 +27,8 @@ def main() -> None:
     if args.lr is not None:
         exp = replace(exp, train=replace(exp.train, learning_rate=args.lr))
 
-    result = run_experiment(exp)
+    art = prepare_artifacts(exp)
+    result = run_experiment(exp, art)
 
     losses = result.epoch_losses
     print(f"seed {args.seed}: {exp.synth.topics} topics,"
@@ -36,8 +37,9 @@ def main() -> None:
     print("epoch mean loss:", " ".join(f"{losses[e]:.4f}" for e in sorted(losses)))
     print(f"first-round MRR@10: {result.round1_mrr:.4f}")
     print(f"feedback MRR@10:    {result.prf_mrr:.4f}  (gap {result.mrr_gap:+.4f})")
+    print(f"step-0 feedback MRR@10 (untrained encoder): {result.step0_mrr:.4f}")
 
-    qrels = generate(exp.synth).eval_qrels
+    qrels = art.task.eval_qrels
     k = exp.topk if exp.topk <= 10 else 10
     prf = mrr_at_k(result.prf_run, qrels, k).per_query
     base = mrr_at_k(result.round1_run, qrels, k).per_query

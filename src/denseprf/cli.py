@@ -44,6 +44,7 @@ from .pipeline import (
 from .tokenizer import CasePolicy, Vocab, build_vocab, tokenize
 from .trainer import (
     TrainConfig,
+    check_config,
     derive_seed,
     train,
     training_example_provider,
@@ -97,10 +98,9 @@ class WorkspaceConfig:
     def load(cls, path) -> "WorkspaceConfig":
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-        known = {f.name for f in dataclasses.fields(cls)}
-        for key in raw:
-            if key not in known:
-                raise ValueError(f"unknown config key: {key}")
+        if not isinstance(raw, dict):
+            raise ValueError("workspace config must be a JSON object")
+        check_config(cls, raw, "config")
         return cls(**raw)
 
 

@@ -143,12 +143,18 @@ class VectorIndex:
             raise ValueError("corrupt index")
         try:
             dim, count = struct.unpack_from("<ii", payload, 0)
+            # Bound the loop by the bytes present: each row holds at least
+            # its id length and its vector.
+            if dim < 1 or count < 1 or count * (4 + 4 * dim) > len(payload) - 8:
+                raise ValueError("corrupt index")
             off = 8
             ids = []
             rows = []
             for _ in range(count):
                 (id_len,) = struct.unpack_from("<i", payload, off)
                 off += 4
+                if not 0 <= id_len <= len(payload) - off - 4 * dim:
+                    raise ValueError("corrupt index")
                 ids.append(payload[off:off + id_len].decode("utf-8"))
                 off += id_len
                 rows.append(np.frombuffer(payload, dtype="<f4", count=dim, offset=off))

@@ -9,13 +9,14 @@ casing policy governs query and feedback text alike.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .composer import PrfDepth, PrfTemplate, compose, first_round_sequence
 from .encoder import EncoderParams, encode
 from .index import SearchResult, VectorIndex
-from .tokenizer import CasePolicy, Vocab, tokenize
+from .tokenizer import CasePolicy, TokenSequence, Vocab, tokenize
 
 
 @dataclass(frozen=True)
@@ -107,6 +108,25 @@ def first_round(
     return _search(index, q, k, counters)
 
 
+def feedback_sequence(
+    query_text: str,
+    hits: Sequence[SearchResult],
+    vocab: Vocab,
+    texts: Mapping[str, str],
+    depth: PrfDepth,
+    template: PrfTemplate,
+    policy: CasePolicy,
+) -> TokenSequence:
+    """The feedback query: the query composed with its top depth.k hit texts."""
+    docs = []
+    for hit in hits[: depth.k]:
+        text = texts.get(hit.doc_id)
+        if text is None:
+            raise ValueError(f"feedback text unavailable: {hit.doc_id}")
+        docs.append(tokenize(text, vocab, policy))
+    return compose(tokenize(query_text, vocab, policy), docs, template, depth)
+
+
 def prf_retrieve(
     query_text: str,
     vocab: Vocab,
@@ -124,14 +144,9 @@ def prf_retrieve(
     if depth.k > k:
         raise ValueError("feedback depth exceeds k")
     round1 = first_round(query_text, vocab, base_params, index, k, policy, counters)
-    query = tokenize(query_text, vocab, policy)
-    docs = []
-    for hit in round1[: depth.k]:
-        text = corpus_texts.get(hit.doc_id)
-        if text is None:
-            raise ValueError(f"feedback text unavailable: {hit.doc_id}")
-        docs.append(tokenize(text, vocab, policy))
-    composed = compose(query, docs, template, depth)
+    composed = feedback_sequence(
+        query_text, round1, vocab, corpus_texts, depth, template, policy
+    )
     q2 = _encode(prf_params, composed, counters)
     return _search(index, q2, k, counters)
 
@@ -172,6 +187,9 @@ def read_run(path) -> RunList:
                 score = float(cols[4])
             except ValueError as exc:
                 raise ValueError(f"malformed run line {n}") from exc
+            # nan compares False, so it would slip past the score-order check.
+            if not math.isfinite(score):
+                raise ValueError(f"malformed run line {n}")
             entries.append(RunEntry(cols[0], cols[2], rank, score, cols[5]))
     return RunList(entries)
 

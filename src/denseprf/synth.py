@@ -12,6 +12,10 @@ round reads the mostly on-topic feedback texts and recovers a much purer
 topical representation — the mechanism under test.  Training pairs each
 query with its seed document as the positive, so the contrastive loss pulls
 composed queries toward their topic region.
+
+The driver's one primitive, ``run_experiment``, takes the task, index and
+base encoder of ``prepare_artifacts``; the head-policy ablation is one
+``run_experiment`` call per policy over the same artifacts.
 """
 
 from __future__ import annotations
@@ -20,11 +24,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .composer import PrfDepth, PrfTemplate, TemplateKind, compose, document_sequence
+from .composer import PrfDepth, PrfTemplate, TemplateKind, document_sequence
 from .encoder import (
     EncoderConfig,
     EncoderParams,
-    HeadPolicy,
     encode,
     init_params,
     init_prf_encoder,
@@ -268,6 +271,8 @@ class TaskArtifacts:
 class ExperimentResult:
     round1_mrr: float
     prf_mrr: float
+    step0_mrr: float
+    step0_matches_base: bool
     epoch_losses: dict[int, float]
     round1_run: RunList
     prf_run: RunList
@@ -312,25 +317,16 @@ def _template(exp: ExperimentConfig) -> PrfTemplate:
     return PrfTemplate(exp.template, max_len=exp.max_len)
 
 
-def eval_round1(art: TaskArtifacts, exp: ExperimentConfig) -> RunList:
-    per_query = [
-        (qid, first_round(text, art.vocab, art.base, art.index, exp.topk, exp.case))
-        for qid, text in art.task.eval_queries
-    ]
-    return results_to_run(per_query, tag="base")
-
-
 def train_prf(
-    art: TaskArtifacts, exp: ExperimentConfig, cfg: TrainConfig | None = None
+    art: TaskArtifacts, exp: ExperimentConfig
 ) -> tuple[EncoderParams, list[TrainLogEntry]]:
-    cfg = cfg or exp.train
     provider = training_example_provider(
         art.vocab, art.base, art.index, art.task.corpus,
         art.task.train_queries, art.task.train_qrels,
         policy=exp.case, depth=PrfDepth(exp.prf_depth), template=_template(exp),
-        cfg=cfg, negatives_seed=derive_seed(exp.seed, 2),
+        cfg=exp.train, negatives_seed=derive_seed(exp.seed, 2),
     )
-    return train(provider, art.base, art.index, cfg)
+    return train(provider, art.base, art.index, exp.train)
 
 
 def eval_prf(
@@ -353,18 +349,39 @@ def eval_prf(
     return results_to_run(per_query, tag=f"prf{exp.prf_depth}")
 
 
-def run_experiment(exp: ExperimentConfig) -> ExperimentResult:
-    """Full pipeline: generate, index, round one, train, feedback round."""
-    art = prepare_artifacts(exp)
+def _ranked_ids(run: RunList) -> dict[str, list[str]]:
+    return {q: [e.doc_id for e in v] for q, v in run.by_query().items()}
+
+
+def run_experiment(exp: ExperimentConfig, art: TaskArtifacts) -> ExperimentResult:
+    """Round one, step-0 readout, training and feedback round on ``art``.
+
+    ``art`` is ``prepare_artifacts(exp)``.  The step-0 readout searches the
+    composed queries with the untrained feedback encoder and with the base
+    encoder; ``counters`` covers the trained feedback round alone.
+    """
     checksum_before = art.index.checksum
-    round1_run = eval_round1(art, exp)
+    per_query = [
+        (qid, first_round(text, art.vocab, art.base, art.index, exp.topk, exp.case))
+        for qid, text in art.task.eval_queries
+    ]
+    round1_run = results_to_run(per_query, tag="base")
+    step0 = init_prf_encoder(art.base, exp.train.head_policy, exp.train.seed)
+    step0_run = eval_prf(art, exp, step0)
+    base_run = eval_prf(art, exp, art.base)
     prf_params, log = train_prf(art, exp)
     counters = RetrievalCounters()
     prf_run = eval_prf(art, exp, prf_params, counters)
     k = exp.topk if exp.topk <= 10 else 10
+
+    def mrr(run: RunList) -> float:
+        return mrr_at_k(run, art.task.eval_qrels, k).mean
+
     return ExperimentResult(
-        round1_mrr=mrr_at_k(round1_run, art.task.eval_qrels, k).mean,
-        prf_mrr=mrr_at_k(prf_run, art.task.eval_qrels, k).mean,
+        round1_mrr=mrr(round1_run),
+        prf_mrr=mrr(prf_run),
+        step0_mrr=mrr(step0_run),
+        step0_matches_base=_ranked_ids(step0_run) == _ranked_ids(base_run),
         epoch_losses=epoch_mean_losses(log),
         round1_run=round1_run,
         prf_run=prf_run,
@@ -374,61 +391,3 @@ def run_experiment(exp: ExperimentConfig) -> ExperimentResult:
         log=log,
         prf_params=prf_params,
     )
-
-
-# -- head-policy ablation -----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class AblationArm:
-    head_policy: HeadPolicy
-    step0_matches_base: bool
-    final_mrr: float
-    epoch_losses: dict[int, float]
-
-
-def step0_matches_base(
-    art: TaskArtifacts, exp: ExperimentConfig, cfg: TrainConfig
-) -> bool:
-    """Whether untrained feedback params rank exactly like the base encoder.
-
-    Compares searches over the composed feedback queries under the step-0
-    initialization against the base params; True only if every query's
-    ranked id list is identical.
-    """
-    step0 = init_prf_encoder(art.base, cfg.head_policy, cfg.seed)
-    template = _template(exp)
-    depth = PrfDepth(exp.prf_depth)
-    for qid, text in art.task.eval_queries:
-        hits = first_round(text, art.vocab, art.base, art.index, exp.topk, exp.case)
-        docs = [
-            tokenize(art.task.corpus[h.doc_id], art.vocab, exp.case)
-            for h in hits[: depth.k]
-        ]
-        composed = compose(tokenize(text, art.vocab, exp.case), docs, template, depth)
-        ids_a = [h.doc_id for h in art.index.search(encode(art.base, composed), exp.topk)]
-        ids_b = [h.doc_id for h in art.index.search(encode(step0, composed), exp.topk)]
-        if ids_a != ids_b:
-            return False
-    return True
-
-
-def head_ablation(exp: ExperimentConfig) -> tuple[AblationArm, AblationArm]:
-    """Train once per head policy on one shared task; returns (inherit, reinit)."""
-    art = prepare_artifacts(exp)
-    k = exp.topk if exp.topk <= 10 else 10
-    arms = []
-    for policy in (HeadPolicy.INHERIT, HeadPolicy.REINIT):
-        cfg = replace(exp.train, head_policy=policy)
-        identical = step0_matches_base(art, exp, cfg)
-        params, log = train_prf(art, exp, cfg)
-        run = eval_prf(art, exp, params)
-        arms.append(
-            AblationArm(
-                head_policy=policy,
-                step0_matches_base=identical,
-                final_mrr=mrr_at_k(run, art.task.eval_qrels, k).mean,
-                epoch_losses=epoch_mean_losses(log),
-            )
-        )
-    return arms[0], arms[1]

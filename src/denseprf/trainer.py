@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, fields
+import typing
+from dataclasses import asdict, dataclass
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .composer import PrfDepth, PrfTemplate, compose
+from .composer import PrfDepth, PrfTemplate
 from .encoder import (
     EncoderParams,
     GradExample,
@@ -28,8 +29,8 @@ from .encoder import (
     param_layout,
 )
 from .index import VectorIndex
-from .pipeline import first_round, results_to_run
-from .tokenizer import CasePolicy, TokenSequence, Vocab, tokenize
+from .pipeline import feedback_sequence, first_round, results_to_run
+from .tokenizer import CasePolicy, TokenSequence, Vocab
 
 OPTIMIZERS = ("adamw", "lamb")
 
@@ -38,6 +39,28 @@ def derive_seed(master: int, *labels: int) -> int:
     """Stable non-negative sub-seed for an independent random stream."""
     state = np.random.SeedSequence([int(master), *map(int, labels)]).generate_state(2)
     return (int(state[0]) << 32) | int(state[1])
+
+
+def check_config(cls, data: Mapping, label: str) -> None:
+    """Reject keys that are not fields of ``cls`` and values of the wrong type.
+
+    Types compare exactly, so a bool is not an int; a float field also takes
+    an int and the head policy field its string value.
+    """
+    hints = typing.get_type_hints(cls)
+    for key, value in data.items():
+        if key not in hints:
+            raise ValueError(f"unknown {label} key: {key}")
+        kinds = typing.get_args(hints[key]) or (hints[key],)
+        if float in kinds:
+            kinds += (int,)
+        if HeadPolicy in kinds:
+            kinds += (str,)
+        if type(value) not in kinds:
+            raise ValueError(
+                f"{label} key {key} must be {kinds[0].__name__},"
+                f" got {type(value).__name__}"
+            )
 
 
 @dataclass(frozen=True)
@@ -68,8 +91,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.optimizer not in OPTIMIZERS:
             raise ValueError(f"unknown optimizer: {self.optimizer}")
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must be >= 0")
+        if not 0 <= self.learning_rate < math.inf:  # also rejects nan
+            raise ValueError("learning_rate must be finite and >= 0")
         for name in ("batch_size", "grad_accum_steps", "epochs",
                      "negatives_per_query", "negative_pool_depth"):
             if getattr(self, name) < 1:
@@ -79,11 +102,10 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, raw: Mapping) -> "TrainConfig":
+        if not isinstance(raw, Mapping):
+            raise ValueError("train config must be a JSON object")
         data = dict(raw)
-        known = {f.name for f in fields(cls)}
-        for key in data:
-            if key not in known:
-                raise ValueError(f"unknown train config key: {key}")
+        check_config(cls, data, "train config")
         if "head_policy" in data and not isinstance(data["head_policy"], HeadPolicy):
             data["head_policy"] = HeadPolicy(data["head_policy"])
         return cls(**data)
@@ -199,20 +221,13 @@ def prepare_training_queries(
         for qid, text in queries
     ]
     run = results_to_run(per_query, tag="pool")
-    by_query = run.by_query()
     prepared = []
-    for qi, (qid, text) in enumerate(queries):
+    for qi, ((qid, text), (_, hits)) in enumerate(zip(queries, per_query)):
         positives = qrels.positives(qid, 1)
         if not positives:
             continue
         pos_id = min(positives, key=lambda d: (-positives[d], d))
-        docs = []
-        for hit in by_query[qid][: depth.k]:
-            doc_text = texts.get(hit.doc_id)
-            if doc_text is None:
-                raise ValueError(f"feedback text unavailable: {hit.doc_id}")
-            docs.append(tokenize(doc_text, vocab, policy))
-        prf_query = compose(tokenize(text, vocab, policy), docs, template, depth)
+        prf_query = feedback_sequence(text, hits, vocab, texts, depth, template, policy)
         prepared.append(PreparedQuery(qid, qi, prf_query, pos_id))
     if not prepared:
         raise ValueError("no trainable queries (no positive judgments)")

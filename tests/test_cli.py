@@ -3,9 +3,19 @@ import json
 import pytest
 
 from denseprf.cli import main
-from denseprf.encoder import load_params
+from denseprf.encoder import EncoderConfig, init_params, load_params, save_params
 from denseprf.index import VectorIndex
-from denseprf.pipeline import read_run
+from denseprf.pipeline import read_run, write_run
+from denseprf.synth import (
+    ExperimentConfig,
+    SynthConfig,
+    cluster_token_embeddings,
+    generate,
+    prepare_artifacts,
+    run_experiment,
+)
+from denseprf.tokenizer import build_vocab
+from denseprf.trainer import TrainConfig, derive_seed
 
 CORPUS = {
     "d1": "Quantum Flux capacitors hum softly",
@@ -299,6 +309,43 @@ def test_unknown_train_key_exits_2(ws, capsys):
     assert "unknown train config key: momentum" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("config, message", [
+    ([], "workspace config must be a JSON object"),
+    ({"prf_depth": "3"}, "config key prf_depth must be int, got str"),
+    ({"topk": None}, "config key topk must be int, got NoneType"),
+    ({"seed": 1.5}, "config key seed must be int, got float"),
+    ({"topk": True}, "config key topk must be int, got bool"),
+    ({"train": []}, "config key train must be dict, got list"),
+])
+def test_config_value_types_exit_2(ws, capsys, config, message):
+    cfg_path = ws / "bad.json"
+    cfg_path.write_text(json.dumps(config))
+    assert main(["eval", "--config", str(cfg_path)]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_train_config_value_types_exit_2(ws, capsys):
+    # Checked before any input file is read.
+    config = {
+        "vocab": p(ws, "vocab.txt"), "params": p(ws, "base.enc"),
+        "index": p(ws, "docs.idx"), "corpus": p(ws, "corpus.tsv"),
+        "queries": p(ws, "queries.tsv"), "qrels": p(ws, "qrels.txt"),
+        "prf_params": p(ws, "prf.enc"),
+        "train": {"epochs": "2"},
+    }
+    cfg_path = ws / "ws.json"
+    cfg_path.write_text(json.dumps(config))
+    assert main(["train", "--config", str(cfg_path)]) == 2
+    assert "train config key epochs must be int, got str" in capsys.readouterr().err
+
+
+def test_eval_rejects_non_finite_run_score(ws, capsys):
+    run_path = ws / "nan.run"
+    run_path.write_text("q1 Q0 d1 1 nan t\nq1 Q0 d2 2 9.5 t\n")
+    assert main(["eval", "--run", str(run_path), "--qrels", p(ws, "qrels.txt")]) == 2
+    assert "malformed run line 1" in capsys.readouterr().err
+
+
 def test_malformed_qrels_exits_2(ws, capsys):
     run_path = ws / "tiny.run"
     run_path.write_text("q1 Q0 d1 1 1.000000 t\n")
@@ -360,3 +407,52 @@ def test_eval_without_baseline_has_no_daggers(ws, capsys):
         "eval", "--run", p(ws, "tiny.run"), "--qrels", p(ws, "tiny.qrels"),
     ]) == 0
     assert "†" not in capsys.readouterr().out
+
+
+def test_cli_reproduces_driver_runs(tmp_path):
+    # The workspace is derived from the seed the way perfbench/workspace.py
+    # derives it; the CLI's run files must equal the driver's byte for byte.
+    seed = 0
+    synth = {"topics": 4, "docs_per_topic": 15, "train_queries": 12, "eval_queries": 8}
+    recipe = {"epochs": 2, "batch_size": 4, "negatives_per_query": 5,
+              "negative_pool_depth": 20, "learning_rate": 1e-3}
+    exp = ExperimentConfig(
+        synth=SynthConfig(**synth), dim=16, layers=1, heads=2, max_len=64,
+        train=TrainConfig(**recipe),
+    ).with_seed(seed)
+    result = run_experiment(exp, prepare_artifacts(exp))
+
+    synth_cfg = SynthConfig(**synth, seed=derive_seed(seed, 10))
+    task = generate(synth_cfg)
+    vocab = build_vocab(task.corpus.values())
+    enc_cfg = EncoderConfig(vocab_size=len(vocab), dim=16, layers=1, heads=2, max_len=64)
+    base = init_params(enc_cfg, seed=derive_seed(seed, 1), scale=0.05)
+    vocab.save(tmp_path / "vocab.txt")
+    save_params(cluster_token_embeddings(base, vocab, task, synth_cfg), tmp_path / "base.enc")
+    for name, rows in (("corpus", task.corpus.items()),
+                       ("train_queries", task.train_queries),
+                       ("eval_queries", task.eval_queries)):
+        (tmp_path / f"{name}.tsv").write_text("".join(f"{k}\t{t}\n" for k, t in rows))
+    task.train_qrels.save(tmp_path / "train_qrels.txt")
+    config = {
+        "vocab": p(tmp_path, "vocab.txt"), "corpus": p(tmp_path, "corpus.tsv"),
+        "index": p(tmp_path, "docs.idx"), "params": p(tmp_path, "base.enc"),
+        "prf_params": p(tmp_path, "prf.enc"), "template": "ance", "prf_depth": 3,
+        "topk": 10, "max_len": 64, "seed": seed,
+        "train": {"seed": derive_seed(seed, 11), **recipe},
+    }
+    (tmp_path / "ws.json").write_text(json.dumps(config))
+
+    def cli(*argv):
+        assert main([argv[0], "--config", p(tmp_path, "ws.json"), *argv[1:]]) == 0
+
+    cli("encode-corpus")
+    cli("search", "--queries", p(tmp_path, "eval_queries.tsv"), "--run", p(tmp_path, "base.run"))
+    cli("train", "--queries", p(tmp_path, "train_queries.tsv"),
+        "--qrels", p(tmp_path, "train_qrels.txt"))
+    cli("search-prf", "--queries", p(tmp_path, "eval_queries.tsv"),
+        "--run", p(tmp_path, "prf.run"))
+    for name, run in (("base", result.round1_run), ("prf", result.prf_run)):
+        write_run(run, tmp_path / f"driver_{name}.run")
+        assert (tmp_path / f"{name}.run").read_bytes() == (
+            tmp_path / f"driver_{name}.run").read_bytes()

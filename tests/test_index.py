@@ -1,7 +1,12 @@
+import hashlib
+import struct
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from denseprf.index import VectorIndex
+from denseprf.index import INDEX_MAGIC, VectorIndex
 
 from oracles import exact_scores, naive_topk
 
@@ -188,6 +193,37 @@ def test_load_rejects_truncation(tmp_path):
     with pytest.raises(ValueError, match="corrupt index"):
         VectorIndex.load(path)
     path.write_bytes(data[:10])
+    with pytest.raises(ValueError, match="corrupt index"):
+        VectorIndex.load(path)
+
+
+@pytest.mark.parametrize("dim, id_len", [(-1, 0), (0, -4)])
+def test_load_bounds_work_by_file_size(tmp_path, dim, id_len):
+    # A resealed 27-byte file whose header claims 10^6 rows; with dim -1 or a
+    # negative id length every loop step used to return to where it started.
+    payload = struct.pack("<iii", dim, 1_000_000, id_len)
+    digest = hashlib.blake2b(payload, digest_size=8).digest()
+    path = tmp_path / "crafted.idx"
+    path.write_bytes(INDEX_MAGIC + payload + digest)
+    assert path.stat().st_size == 27
+    tracemalloc.start()
+    t0 = time.perf_counter()
+    try:
+        with pytest.raises(ValueError, match="corrupt index"):
+            VectorIndex.load(path)
+        elapsed = time.perf_counter() - t0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 0.5
+    assert peak < 1_000_000
+
+
+def test_load_rejects_id_length_past_end(tmp_path):
+    payload = struct.pack("<iii", 2, 1, 100) + b"d1" + b"\x00" * 8
+    digest = hashlib.blake2b(payload, digest_size=8).digest()
+    path = tmp_path / "crafted.idx"
+    path.write_bytes(INDEX_MAGIC + payload + digest)
     with pytest.raises(ValueError, match="corrupt index"):
         VectorIndex.load(path)
 

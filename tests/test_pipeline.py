@@ -111,11 +111,11 @@ def test_read_run_reports_line_numbers(tmp_path):
     lines = [
         good.format(i=i, score=float(20 - i)) for i in range(1, 17)
     ]
-    lines.append("q1 Q0 d17 17 not_a_score tag")
     path = tmp_path / "run.txt"
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ValueError, match="malformed run line 17"):
-        read_run(path)
+    for bad in ("not_a_score", "nan", "inf", "-inf"):
+        path.write_text("\n".join(lines + [f"q1 Q0 d17 17 {bad} tag"]) + "\n")
+        with pytest.raises(ValueError, match="malformed run line 17"):
+            read_run(path)
 
 
 def test_read_run_rejects_bad_shape(tmp_path):
@@ -126,6 +126,10 @@ def test_read_run_rejects_bad_shape(tmp_path):
     path.write_text("q1 QX d1 1 2.0 tag\n")
     with pytest.raises(ValueError, match="malformed run line 1"):
         read_run(path)
+    for bad in ("nan", "inf", "-inf"):
+        path.write_text(f"q1 Q0 d1 1 {bad} t\nq1 Q0 d2 2 9.5 t\n")
+        with pytest.raises(ValueError, match="malformed run line 1"):
+            read_run(path)
 
 
 def test_read_run_skips_blank_lines(tmp_path):

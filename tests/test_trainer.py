@@ -88,8 +88,9 @@ def test_train_config_defaults():
 def test_train_config_validation():
     with pytest.raises(ValueError, match="unknown optimizer: sgd"):
         TrainConfig(optimizer="sgd")
-    with pytest.raises(ValueError, match="learning_rate"):
-        TrainConfig(learning_rate=-1e-4)
+    for bad in (-1e-4, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="learning_rate"):
+            TrainConfig(learning_rate=bad)
     with pytest.raises(ValueError, match="batch_size"):
         TrainConfig(batch_size=0)
     with pytest.raises(ValueError, match="epochs"):
@@ -105,6 +106,11 @@ def test_train_config_from_dict():
     assert cfg.head_policy is HeadPolicy.REINIT
     with pytest.raises(ValueError, match="unknown train config key: momentum"):
         TrainConfig.from_dict({"momentum": 0.9})
+    with pytest.raises(ValueError, match="train config key batch_size must be int"):
+        TrainConfig.from_dict({"batch_size": 4.0})
+    for bad in ([], [["epochs", 2]]):
+        with pytest.raises(ValueError, match="train config must be a JSON object"):
+            TrainConfig.from_dict(bad)
 
 
 def test_train_config_round_trip(tmp_path):
