@@ -14,14 +14,8 @@ import json
 import sys
 from dataclasses import dataclass, field
 
-from .composer import PrfDepth, PrfTemplate, TemplateKind, document_sequence
-from .encoder import (
-    EncoderConfig,
-    encode,
-    init_params,
-    load_params,
-    save_params,
-)
+from .composer import PrfDepth, PrfTemplate, TemplateKind
+from .encoder import EncoderConfig, init_params, load_params, save_params
 from .evaluator import (
     MetricReport,
     Qrels,
@@ -32,36 +26,25 @@ from .evaluator import (
 )
 from .index import VectorIndex
 from .pipeline import (
-    RunList,
-    first_round,
-    prf_retrieve,
+    encode_corpus,
     read_corpus_tsv,
     read_queries_tsv,
     read_run,
-    results_to_run,
+    search_prf_run,
+    search_run,
     write_run,
 )
-from .tokenizer import CasePolicy, Vocab, build_vocab, tokenize
-from .trainer import (
-    TrainConfig,
-    check_config,
-    derive_seed,
-    train,
-    training_example_provider,
-    write_log_csv,
-)
+from .tokenizer import CasePolicy, Vocab, build_vocab
+from .trainer import TrainConfig, check_config, derive_seed, train_prf, write_log_csv
 
 # Labels for fanning the master seed into independent streams.
 SEED_INIT = 1
 SEED_NEGATIVES = 2
 SEED_TRAIN = 3
 
-TEMPLATES = {
-    "ance": TemplateKind.ANCE,
-    "tct": TemplateKind.TCT,
-    "dbert": TemplateKind.DBERT,
-}
-CASES = {"preserve": CasePolicy.PRESERVE, "lower": CasePolicy.LOWERCASE}
+
+def _names(kind) -> list[str]:
+    return sorted(member.value for member in kind)
 
 
 @dataclass
@@ -85,9 +68,9 @@ class WorkspaceConfig:
     train: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.template not in TEMPLATES:
+        if self.template not in _names(TemplateKind):
             raise ValueError(f"unknown template: {self.template}")
-        if self.case not in CASES:
+        if self.case not in _names(CasePolicy):
             raise ValueError(f"unknown case policy: {self.case}")
         if self.prf_depth < 1:
             raise ValueError("prf_depth must be >= 1")
@@ -171,17 +154,8 @@ def cmd_encode_corpus(args) -> int:
     )
     vocab = Vocab.load(vocab_path)
     params = load_params(params_path)
-    policy = CASES[cfg.case]
     docs = read_corpus_tsv(corpus_path)
-
-    def pairs():
-        for doc_id, text in docs.items():
-            tokens = document_sequence(
-                tokenize(text, vocab, policy), params.config.max_len
-            )
-            yield doc_id, encode(params, tokens)
-
-    index = VectorIndex.build(pairs())
+    index = encode_corpus(docs, vocab, params, CasePolicy(cfg.case))
     index.save(index_path)
     print(f"indexed {len(index)} docs, checksum {index.checksum:016x}")
     return 0
@@ -195,13 +169,9 @@ def cmd_search(args) -> int:
     vocab = Vocab.load(vocab_path)
     params = load_params(params_path)
     index = VectorIndex.load(index_path)
-    policy = CASES[cfg.case]
     queries = read_queries_tsv(queries_path)
-    per_query = [
-        (qid, first_round(text, vocab, params, index, cfg.topk, policy))
-        for qid, text in queries
-    ]
-    write_run(results_to_run(per_query, tag="base"), run_path)
+    run = search_run(queries, vocab, params, index, cfg.topk, CasePolicy(cfg.case))
+    write_run(run, run_path)
     print(f"wrote {len(queries)} queries x top-{cfg.topk} to {run_path}")
     return 0
 
@@ -218,20 +188,13 @@ def cmd_search_prf(args) -> int:
     prf = load_params(prf_path)
     index = VectorIndex.load(index_path)
     texts = read_corpus_tsv(corpus_path)
-    policy = CASES[cfg.case]
-    template = PrfTemplate(TEMPLATES[cfg.template], max_len=base.config.max_len)
+    template = PrfTemplate(TemplateKind(cfg.template), max_len=base.config.max_len)
     queries = read_queries_tsv(queries_path)
-    per_query = [
-        (
-            qid,
-            prf_retrieve(
-                text, vocab, base, prf, index, texts,
-                depth, template, cfg.topk, policy,
-            ),
-        )
-        for qid, text in queries
-    ]
-    write_run(results_to_run(per_query, tag=f"prf{depth.k}"), run_path)
+    run = search_prf_run(
+        queries, vocab, base, prf, index, texts,
+        depth, template, cfg.topk, CasePolicy(cfg.case),
+    )
+    write_run(run, run_path)
     print(f"wrote {len(queries)} queries x top-{cfg.topk} to {run_path}")
     return 0
 
@@ -271,15 +234,11 @@ def cmd_train(args) -> int:
     queries = read_queries_tsv(queries_path)
     qrels = Qrels.load(qrels_path)
 
-    provider = training_example_provider(
-        vocab, base, index, texts, queries, qrels,
-        policy=CASES[cfg.case],
-        depth=depth,
-        template=PrfTemplate(TEMPLATES[cfg.template], max_len=base.config.max_len),
-        cfg=train_cfg,
-        negatives_seed=derive_seed(cfg.seed, SEED_NEGATIVES),
+    template = PrfTemplate(TemplateKind(cfg.template), max_len=base.config.max_len)
+    params, log = train_prf(
+        vocab, base, index, texts, queries, qrels, CasePolicy(cfg.case), depth,
+        template, train_cfg, negatives_seed=derive_seed(cfg.seed, SEED_NEGATIVES),
     )
-    params, log = train(provider, base, index, train_cfg)
     save_params(params, out_path)
     if args.log:
         write_log_csv(log, args.log)
@@ -352,10 +311,10 @@ def _add_common(sub, *flags):
         sub.add_argument("--run", help="run file path")
     if "search" in flags:
         sub.add_argument("--topk", type=int, help="results per query")
-        sub.add_argument("--case", choices=sorted(CASES),
+        sub.add_argument("--case", choices=_names(CasePolicy),
                          help="casing policy for query and feedback text")
     if "prf" in flags:
-        sub.add_argument("--template", choices=sorted(TEMPLATES),
+        sub.add_argument("--template", choices=_names(TemplateKind),
                          help="feedback query template")
         sub.add_argument("--prf-depth", dest="prf_depth", type=int,
                          help="feedback documents per query")

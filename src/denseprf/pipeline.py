@@ -1,10 +1,12 @@
-"""Two-round feedback retrieval and TREC run-file plumbing.
+"""Corpus encoding, two-round feedback retrieval and TREC run-file plumbing.
 
 Round one encodes the bare query with the base encoder and searches the
 index.  Round two concatenates the query with the text of the top feedback
 documents, encodes that with the feedback encoder, and searches the SAME
 index again — document embeddings are never touched between rounds.  One
-casing policy governs query and feedback text alike.
+casing policy governs query and feedback text alike.  ``encode_corpus``,
+``search_run`` and ``search_prf_run`` are the corpus and query-list stages
+that the CLI and the synthetic experiment share.
 """
 
 from __future__ import annotations
@@ -13,7 +15,9 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .composer import PrfDepth, PrfTemplate, compose, first_round_sequence
+from .composer import (
+    PrfDepth, PrfTemplate, compose, document_sequence, first_round_sequence,
+)
 from .encoder import EncoderParams, encode
 from .index import SearchResult, VectorIndex
 from .tokenizer import CasePolicy, TokenSequence, Vocab, tokenize
@@ -160,6 +164,44 @@ def results_to_run(
         for r in results
     ]
     return RunList(entries)
+
+
+def encode_corpus(
+    texts: Mapping[str, str], vocab: Vocab, params: EncoderParams, policy: CasePolicy
+) -> VectorIndex:
+    """Index every document's base-encoder embedding, in corpus order."""
+    max_len = params.config.max_len
+    return VectorIndex.build(
+        (did, encode(params, document_sequence(tokenize(text, vocab, policy), max_len)))
+        for did, text in texts.items()
+    )
+
+
+def search_run(
+    queries: Sequence[tuple[str, str]], vocab: Vocab, params: EncoderParams,
+    index: VectorIndex, k: int, policy: CasePolicy,
+) -> RunList:
+    """First-round run of every query, tagged ``base``."""
+    per_query = [
+        (qid, first_round(text, vocab, params, index, k, policy))
+        for qid, text in queries
+    ]
+    return results_to_run(per_query, tag="base")
+
+
+def search_prf_run(
+    queries: Sequence[tuple[str, str]], vocab: Vocab, base_params: EncoderParams,
+    prf_params: EncoderParams, index: VectorIndex, corpus_texts: Mapping[str, str],
+    depth: PrfDepth, template: PrfTemplate, k: int, policy: CasePolicy,
+    counters: RetrievalCounters | None = None,
+) -> RunList:
+    """Feedback run of every query, tagged ``prf<depth>``."""
+    per_query = [
+        (qid, prf_retrieve(text, vocab, base_params, prf_params, index, corpus_texts,
+                           depth, template, k, policy, counters))
+        for qid, text in queries
+    ]
+    return results_to_run(per_query, tag=f"prf{depth.k}")
 
 
 # -- file formats ------------------------------------------------------------

@@ -15,7 +15,10 @@ composed queries toward their topic region.
 
 The driver's one primitive, ``run_experiment``, takes the task, index and
 base encoder of ``prepare_artifacts``; the head-policy ablation is one
-``run_experiment`` call per policy over the same artifacts.
+``run_experiment`` call per policy over the same artifacts.  Corpus
+encoding, both retrieval runs and training are the same library calls the
+CLI makes (``pipeline.encode_corpus``, ``search_run``, ``search_prf_run``
+and ``trainer.train_prf``), so the experiment's runs are the CLI's runs.
 """
 
 from __future__ import annotations
@@ -24,31 +27,24 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .composer import PrfDepth, PrfTemplate, TemplateKind, document_sequence
-from .encoder import (
-    EncoderConfig,
-    EncoderParams,
-    encode,
-    init_params,
-    init_prf_encoder,
-)
+from .composer import PrfDepth, PrfTemplate, TemplateKind
+from .encoder import EncoderConfig, EncoderParams, init_params, init_prf_encoder
 from .evaluator import Qrels, mrr_at_k
 from .index import VectorIndex
 from .pipeline import (
     RetrievalCounters,
     RunList,
-    first_round,
-    prf_retrieve,
-    results_to_run,
+    encode_corpus,
+    search_prf_run,
+    search_run,
 )
-from .tokenizer import CasePolicy, Vocab, build_vocab, tokenize
+from .tokenizer import CasePolicy, Vocab, build_vocab
 from .trainer import (
     TrainConfig,
     TrainLogEntry,
     derive_seed,
     epoch_mean_losses,
-    train,
-    training_example_provider,
+    train_prf,
 )
 
 _SYL = ("ba", "de", "fi", "go", "hu", "ka", "lo", "mi",
@@ -304,29 +300,8 @@ def prepare_artifacts(exp: ExperimentConfig) -> TaskArtifacts:
     )
     base = init_params(enc_cfg, seed=derive_seed(exp.seed, 1), scale=exp.init_scale)
     base = cluster_token_embeddings(base, vocab, task, exp.synth)
-
-    def pairs():
-        for did, text in task.corpus.items():
-            tokens = document_sequence(tokenize(text, vocab, exp.case), exp.max_len)
-            yield did, encode(base, tokens)
-
-    return TaskArtifacts(task, vocab, base, VectorIndex.build(pairs()))
-
-
-def _template(exp: ExperimentConfig) -> PrfTemplate:
-    return PrfTemplate(exp.template, max_len=exp.max_len)
-
-
-def train_prf(
-    art: TaskArtifacts, exp: ExperimentConfig
-) -> tuple[EncoderParams, list[TrainLogEntry]]:
-    provider = training_example_provider(
-        art.vocab, art.base, art.index, art.task.corpus,
-        art.task.train_queries, art.task.train_qrels,
-        policy=exp.case, depth=PrfDepth(exp.prf_depth), template=_template(exp),
-        cfg=exp.train, negatives_seed=derive_seed(exp.seed, 2),
-    )
-    return train(provider, art.base, art.index, exp.train)
+    index = encode_corpus(task.corpus, vocab, base, exp.case)
+    return TaskArtifacts(task, vocab, base, index)
 
 
 def eval_prf(
@@ -335,18 +310,11 @@ def eval_prf(
     prf_params: EncoderParams,
     counters: RetrievalCounters | None = None,
 ) -> RunList:
-    per_query = [
-        (
-            qid,
-            prf_retrieve(
-                text, art.vocab, art.base, prf_params, art.index,
-                art.task.corpus, PrfDepth(exp.prf_depth), _template(exp),
-                exp.topk, exp.case, counters,
-            ),
-        )
-        for qid, text in art.task.eval_queries
-    ]
-    return results_to_run(per_query, tag=f"prf{exp.prf_depth}")
+    return search_prf_run(
+        art.task.eval_queries, art.vocab, art.base, prf_params, art.index,
+        art.task.corpus, PrfDepth(exp.prf_depth),
+        PrfTemplate(exp.template, max_len=exp.max_len), exp.topk, exp.case, counters,
+    )
 
 
 def _ranked_ids(run: RunList) -> dict[str, list[str]]:
@@ -361,15 +329,18 @@ def run_experiment(exp: ExperimentConfig, art: TaskArtifacts) -> ExperimentResul
     encoder; ``counters`` covers the trained feedback round alone.
     """
     checksum_before = art.index.checksum
-    per_query = [
-        (qid, first_round(text, art.vocab, art.base, art.index, exp.topk, exp.case))
-        for qid, text in art.task.eval_queries
-    ]
-    round1_run = results_to_run(per_query, tag="base")
+    round1_run = search_run(
+        art.task.eval_queries, art.vocab, art.base, art.index, exp.topk, exp.case
+    )
     step0 = init_prf_encoder(art.base, exp.train.head_policy, exp.train.seed)
     step0_run = eval_prf(art, exp, step0)
     base_run = eval_prf(art, exp, art.base)
-    prf_params, log = train_prf(art, exp)
+    prf_params, log = train_prf(
+        art.vocab, art.base, art.index, art.task.corpus,
+        art.task.train_queries, art.task.train_qrels, exp.case,
+        PrfDepth(exp.prf_depth), PrfTemplate(exp.template, max_len=exp.max_len),
+        exp.train, negatives_seed=derive_seed(exp.seed, 2),
+    )
     counters = RetrievalCounters()
     prf_run = eval_prf(art, exp, prf_params, counters)
     k = exp.topk if exp.topk <= 10 else 10

@@ -2,8 +2,10 @@
 
 The document encoder is frozen: positive and negative document embeddings
 are looked up from the vector index, never re-encoded.  Negatives are hard
-negatives sampled from a first-round run; optionally every other example's
-positive within a microbatch joins the negative set.  Gradient accumulation
+negatives sampled from a first-round run; optionally the positives of the
+other examples in a microbatch join the negative set, except those equal to
+the example's own positive.  ``train_prf`` prepares the feedback queries
+once and resamples the hard negatives every epoch.  Gradient accumulation
 averages microbatch-mean gradients so that (batch b, accum a) matches
 (batch a*b, accum 1) on the same example order.
 """
@@ -262,34 +264,6 @@ def examples_for_epoch(
     return examples
 
 
-def training_example_provider(
-    vocab: Vocab,
-    base_params: EncoderParams,
-    index: VectorIndex,
-    texts: Mapping[str, str],
-    queries: Sequence[tuple[str, str]],
-    qrels,
-    policy: CasePolicy,
-    depth: PrfDepth,
-    template: PrfTemplate,
-    cfg: TrainConfig,
-    negatives_seed: int,
-) -> Callable[[int], list[TrainingExample]]:
-    """Epoch -> examples callable for train(); preparation runs lazily once."""
-    cache: dict[str, tuple] = {}
-
-    def provider(epoch: int) -> list[TrainingExample]:
-        if "prepared" not in cache:
-            cache["prepared"] = prepare_training_queries(
-                vocab, base_params, index, texts, queries, qrels,
-                policy, depth, template, cfg.negative_pool_depth,
-            )
-        run, prepared = cache["prepared"]
-        return examples_for_epoch(run, qrels, prepared, cfg, negatives_seed, epoch)
-
-    return provider
-
-
 def optimizer_step(
     state: OptimizerState,
     params: EncoderParams,
@@ -318,9 +292,11 @@ def optimizer_step(
     if cfg.optimizer == "lamb":
         for _, off, shape in layout:
             seg = slice(off, off + math.prod(shape))
-            # np.add.reduceat would sum in another order and change the bits.
-            wn = float(np.linalg.norm(w[seg]))
-            un = float(np.linalg.norm(upd[seg]))
+            # np.linalg.norm goes through BLAS, whose bits vary with the CPU
+            # kernel; numpy's own sum does not.  np.add.reduceat would sum in
+            # another order and change the bits.
+            wn = float(np.sqrt(np.sum(w[seg] * w[seg])))
+            un = float(np.sqrt(np.sum(upd[seg] * upd[seg])))
             trust = 1.0 if wn == 0.0 or un == 0.0 else min(wn / un, 10.0)
             upd[seg] *= trust
 
@@ -348,7 +324,11 @@ def _resolve_batch(
     for i, ex in enumerate(batch):
         negs = [lookup(d) for d in ex.negative_doc_ids]
         if in_batch_negatives:
-            negs.extend(p for j, p in enumerate(positives) if j != i)
+            # Another query may share this positive; it is never a negative.
+            negs.extend(
+                p for other, p in zip(batch, positives)
+                if other.positive_doc_id != ex.positive_doc_id
+            )
         if not negs:
             raise ValueError("example has no negatives")
         resolved.append(
@@ -421,6 +401,30 @@ def train(
         flush()
 
     return params, log
+
+
+def train_prf(
+    vocab: Vocab,
+    base: EncoderParams,
+    index: VectorIndex,
+    texts: Mapping[str, str],
+    queries: Sequence[tuple[str, str]],
+    qrels,
+    policy: CasePolicy,
+    depth: PrfDepth,
+    template: PrfTemplate,
+    cfg: TrainConfig,
+    negatives_seed: int,
+) -> tuple[EncoderParams, list[TrainLogEntry]]:
+    """Train the feedback encoder on ``queries``: prepare once, resample per epoch."""
+    run, prepared = prepare_training_queries(
+        vocab, base, index, texts, queries, qrels,
+        policy, depth, template, cfg.negative_pool_depth,
+    )
+    return train(
+        lambda e: examples_for_epoch(run, qrels, prepared, cfg, negatives_seed, e),
+        base, index, cfg,
+    )
 
 
 def epoch_mean_losses(log: Sequence[TrainLogEntry]) -> dict[int, float]:

@@ -5,19 +5,23 @@ import math
 import numpy as np
 import pytest
 
+import denseprf.trainer as trainer_module
+from denseprf.composer import PrfDepth, PrfTemplate, TemplateKind
 from denseprf.encoder import (
     EncoderConfig,
     EncoderParams,
+    GradExample,
     HeadPolicy,
+    grad,
     init_params,
+    init_prf_encoder,
     param_layout,
     params_allclose,
-    save_params,
 )
 from denseprf.evaluator import Qrels
 from denseprf.index import VectorIndex
-from denseprf.pipeline import RunEntry, RunList
-from denseprf.tokenizer import CasePolicy, TokenSequence
+from denseprf.pipeline import RunEntry, RunList, encode_corpus, search_run
+from denseprf.tokenizer import CasePolicy, TokenSequence, build_vocab
 from denseprf.trainer import (
     OptimizerState,
     TrainConfig,
@@ -29,6 +33,7 @@ from denseprf.trainer import (
     optimizer_step,
     sample_negatives,
     train,
+    train_prf,
     write_log_csv,
 )
 
@@ -363,20 +368,55 @@ def test_accumulation_matches_large_batch():
     assert abs(log_a[0].loss - log_b[0].loss) <= 1e-10
 
 
-def test_lamb_accumulation_golden_digest(tmp_path):
-    # Three LAMB steps (accum 3, 3, then a ragged 2) on the accumulation
-    # fixture; pins the optimizer arithmetic bit for bit.
+def test_lamb_steps_golden_digest():
+    # Three LAMB steps on fixed gradients, no BLAS product involved: pins the
+    # optimizer arithmetic bit for bit under every CPU kernel.
+    params = init_params(EncoderConfig(20, 8, 1, 2, 12), seed=3, scale=0.3)
+    rng = np.random.default_rng(9)
+    cfg = TrainConfig(optimizer="lamb", learning_rate=1e-3)
+    state = OptimizerState.for_params(params)
+    for _ in range(3):
+        grads = EncoderParams(params.config, rng.normal(size=params.flat.shape))
+        state, params = optimizer_step(state, params, grads, cfg)
+    digest = hashlib.blake2b(params.flat.tobytes(), digest_size=16).hexdigest()
+    assert digest == "71da45a18341d463eb6a6d4f5e0295f2"
+
+
+def test_lamb_accumulation_matches_hand_loop():
+    # train with accumulation 3, 3, then a ragged 2 equals averaging grad
+    # outputs by hand and stepping on the mean, bit for bit.
     rng = np.random.default_rng(9)
     index = small_index(rng)
     base = small_params()
     examples = make_examples(rng, index, 32)
-    params, log = train(examples, base, index, TrainConfig(
-        optimizer="lamb", learning_rate=1e-3, batch_size=4, grad_accum_steps=3,
-        epochs=1, seed=5))
-    assert len(log) == 3
-    save_params(params, tmp_path / "lamb.enc")
-    digest = hashlib.blake2b((tmp_path / "lamb.enc").read_bytes(), digest_size=16)
-    assert digest.hexdigest() == "f0bee376e6d2a535c2dadf3db4068f91"
+    cfg = TrainConfig(optimizer="lamb", learning_rate=1e-3, batch_size=4,
+                      grad_accum_steps=3, epochs=1, seed=5)
+    trained, log = train(examples, base, index, cfg)
+
+    order = np.random.default_rng([cfg.seed, 0]).permutation(len(examples))
+    micro = [[examples[i] for i in order[s:s + 4]] for s in range(0, 32, 4)]
+    params = init_prf_encoder(base, cfg.head_policy, cfg.seed)
+    state = OptimizerState.for_params(params)
+    losses = []
+    for group in (micro[:3], micro[3:6], micro[6:]):
+        acc, group_losses = None, []
+        for batch in group:
+            loss, g = grad(params, [
+                GradExample(
+                    ex.prf_query,
+                    index.vector(ex.positive_doc_id),
+                    np.stack([index.vector(d) for d in ex.negative_doc_ids]),
+                )
+                for ex in batch
+            ])
+            acc = g.flat if acc is None else acc + g.flat
+            group_losses.append(loss)
+        acc *= 1.0 / len(group)
+        state, params = optimizer_step(
+            state, params, EncoderParams(params.config, acc), cfg)
+        losses.append(float(np.mean(group_losses)))
+    assert [e.loss for e in log] == losses
+    assert np.array_equal(trained.flat, params.flat)
 
 
 def test_train_is_deterministic_for_seed():
@@ -461,6 +501,25 @@ def test_in_batch_negatives_change_loss():
     assert log_off[0].loss != log_on[0].loss
 
 
+def test_in_batch_negatives_skip_a_shared_positive():
+    # Two queries judged on the same doc: in-batch negatives must not score
+    # an example's own positive as a negative, so here they add nothing.
+    rng = np.random.default_rng(19)
+    index = small_index(rng, n=6)
+    base = small_params()
+    shared = [
+        TrainingExample(query_id=f"q{i}", prf_query=seq(0, i + 1),
+                        positive_doc_id="d000", negative_doc_ids=("d001", "d002"))
+        for i in range(2)
+    ]
+    kwargs = dict(batch_size=2, epochs=1, learning_rate=1e-4, seed=0)
+    params_off, log_off = train(shared, base, index, TrainConfig(**kwargs))
+    params_on, log_on = train(shared, base, index,
+                              TrainConfig(in_batch_negatives=True, **kwargs))
+    assert log_on[0].loss == log_off[0].loss
+    assert np.array_equal(params_on.flat, params_off.flat)
+
+
 def test_train_missing_document_embedding():
     rng = np.random.default_rng(16)
     index = small_index(rng, n=4)
@@ -505,6 +564,70 @@ def test_example_with_no_negatives_rejected():
                        learning_rate=1e-4)
     params, log = train([ex, other], base, index, cfg2)
     assert len(log) == 1
+
+
+# -- training preparation ------------------------------------------------------------
+
+
+PREP_CORPUS = {
+    f"d{i:02d}": text for i, text in enumerate([
+        "red apple tree", "green apple pie", "red cherry tree", "blue sky above",
+        "green grass field", "blue ocean wave", "red brick wall", "apple orchard field",
+        "cherry pie recipe", "ocean tree island", "sky wall art", "grass pie contest",
+    ])
+}
+
+
+def test_train_prf_prepares_once_and_seeds_negatives_by_position(monkeypatch):
+    vocab = build_vocab(PREP_CORPUS.values())
+    base = init_params(EncoderConfig(len(vocab), DIM, 1, 2, 32), seed=3, scale=0.3)
+    policy = CasePolicy.PRESERVE
+    index = encode_corpus(PREP_CORPUS, vocab, base, policy)
+    # q0 has no positive: it is skipped but still holds position 0.
+    queries = [("q0", "blue sky"), ("q1", "red tree"), ("q2", "apple pie"),
+               ("q3", "ocean wave")]
+    qrels = Qrels.from_triples([("q1", "d00", 2), ("q2", "d01", 1), ("q3", "d05", 1)])
+    cfg = TrainConfig(batch_size=2, epochs=3, learning_rate=1e-3,
+                      negatives_per_query=3, negative_pool_depth=10, seed=0)
+    negatives_seed = 77
+
+    first_round_calls = []
+    real_first_round = trainer_module.first_round
+
+    def counting_first_round(*args, **kwargs):
+        first_round_calls.append(args[0])
+        return real_first_round(*args, **kwargs)
+
+    epochs = {}
+    real_train = trainer_module.train
+
+    def spy_train(data, *args):
+        epochs.update({e: data(e) for e in range(cfg.epochs)})
+        return real_train(data, *args)
+
+    monkeypatch.setattr(trainer_module, "first_round", counting_first_round)
+    monkeypatch.setattr(trainer_module, "train", spy_train)
+    _, log = train_prf(
+        vocab, base, index, PREP_CORPUS, queries, qrels, policy, PrfDepth(2),
+        PrfTemplate(TemplateKind.ANCE, max_len=32), cfg, negatives_seed)
+    assert first_round_calls == [text for _, text in queries]  # once, not per epoch
+    assert len(log) == 3 * 2
+
+    pool = search_run(queries, vocab, base, index, 10, policy)
+
+    def negatives(qid, seed):
+        return tuple(sample_negatives(pool, qrels, qid, pool_depth=10, n=3, seed=seed))
+
+    shifted = 0
+    for e, examples in epochs.items():
+        assert [ex.query_id for ex in examples] == ["q1", "q2", "q3"]
+        for ex in examples:
+            i = next(i for i, (qid, _) in enumerate(queries) if qid == ex.query_id)
+            seed = derive_seed(negatives_seed, e, i)
+            assert ex.negative_doc_ids == negatives(ex.query_id, seed)
+            shifted += ex.negative_doc_ids != negatives(
+                ex.query_id, derive_seed(negatives_seed, e, i - 1))
+    assert shifted  # the position check can tell a skipped query apart
 
 
 # -- logging --------------------------------------------------------------------------
