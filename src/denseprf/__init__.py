@@ -44,7 +44,7 @@ from .pipeline import (
     write_run,
 )
 from .tokenizer import CasePolicy, TokenSequence, Vocab, build_vocab, tokenize
-from .trainer import TrainConfig, TrainingExample, nce_loss, sample_negatives, train
+from .trainer import TrainConfig, TrainingSet, sample_negatives, train
 
 __version__ = "0.1.0"
 
@@ -64,7 +64,7 @@ __all__ = [
     "TemplateKind",
     "TokenSequence",
     "TrainConfig",
-    "TrainingExample",
+    "TrainingSet",
     "Vocab",
     "VectorIndex",
     "build_vocab",
@@ -76,7 +76,6 @@ __all__ = [
     "load_params",
     "mrr_at_k",
     "ndcg_at_k",
-    "nce_loss",
     "paired_t_test",
     "prf_retrieve",
     "read_run",

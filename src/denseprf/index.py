@@ -11,14 +11,14 @@ from __future__ import annotations
 import hashlib
 import struct
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 INDEX_MAGIC = b"PRFIDX1"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SearchResult:
     doc_id: str
     score: float
@@ -106,30 +106,29 @@ class VectorIndex:
 
     # -- persistence --------------------------------------------------------
 
-    def _payload(self) -> bytes:
-        parts = [struct.pack("<ii", self.dim, len(self._ids))]
+    def _payload_parts(self) -> Iterator[bytes]:
+        """The canonical byte layout, header then one part per row."""
+        yield struct.pack("<ii", self.dim, len(self._ids))
         for i, doc_id in enumerate(self._ids):
             raw = doc_id.encode("utf-8")
-            parts.append(struct.pack("<i", len(raw)))
-            parts.append(raw)
-            parts.append(self._vec32[i].tobytes())
-        return b"".join(parts)
+            yield struct.pack("<i", len(raw)) + raw + self._vec32[i].tobytes()
 
     def _digest(self) -> int:
-        h = hashlib.blake2b(self._payload(), digest_size=8)
+        h = hashlib.blake2b(digest_size=8)
+        for part in self._payload_parts():
+            h.update(part)
         return int.from_bytes(h.digest(), "little")
 
     def save(self, path) -> None:
-        payload = self._payload()
         with open(path, "wb") as fh:
             fh.write(INDEX_MAGIC)
-            fh.write(payload)
+            fh.writelines(self._payload_parts())
             fh.write(struct.pack("<Q", self._checksum))
 
     @classmethod
     def load(cls, path) -> "VectorIndex":
         with open(path, "rb") as fh:
-            data = fh.read()
+            data = memoryview(fh.read())  # slices below share these bytes
         if data[: len(INDEX_MAGIC)] != INDEX_MAGIC:
             raise ValueError("not an index file")
         body = data[len(INDEX_MAGIC):]
@@ -149,18 +148,18 @@ class VectorIndex:
                 raise ValueError("corrupt index")
             off = 8
             ids = []
-            rows = []
-            for _ in range(count):
+            vectors = np.empty((count, dim), dtype="<f4")
+            for row in vectors:
                 (id_len,) = struct.unpack_from("<i", payload, off)
                 off += 4
                 if not 0 <= id_len <= len(payload) - off - 4 * dim:
                     raise ValueError("corrupt index")
-                ids.append(payload[off:off + id_len].decode("utf-8"))
+                ids.append(str(payload[off:off + id_len], "utf-8"))
                 off += id_len
-                rows.append(np.frombuffer(payload, dtype="<f4", count=dim, offset=off))
+                row[:] = np.frombuffer(payload, dtype="<f4", count=dim, offset=off)
                 off += 4 * dim
             if off != len(payload):
                 raise ValueError("corrupt index")
         except (struct.error, UnicodeDecodeError) as exc:
             raise ValueError("corrupt index") from exc
-        return cls(ids, np.stack(rows))
+        return cls(ids, vectors)

@@ -23,7 +23,7 @@ from .index import SearchResult, VectorIndex
 from .tokenizer import CasePolicy, TokenSequence, Vocab, tokenize
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RunEntry:
     query_id: str
     doc_id: str
@@ -41,14 +41,14 @@ class RunList:
 
     def __init__(self, entries: Iterable[RunEntry]):
         grouped: dict[str, list[RunEntry]] = {}
-        seen: set[tuple[str, str]] = set()
         for e in entries:
-            key = (e.query_id, e.doc_id)
-            if key in seen:
-                raise ValueError(f"duplicate run entry: {e.query_id} {e.doc_id}")
-            seen.add(key)
             grouped.setdefault(e.query_id, []).append(e)
         for qid, items in grouped.items():
+            seen: set[str] = set()
+            for e in items:
+                if e.doc_id in seen:
+                    raise ValueError(f"duplicate run entry: {qid} {e.doc_id}")
+                seen.add(e.doc_id)
             items.sort(key=lambda e: e.rank)
             for want, e in enumerate(items, start=1):
                 if e.rank != want:
@@ -217,6 +217,7 @@ def write_run(run: RunList, path) -> None:
 
 def read_run(path) -> RunList:
     entries = []
+    names: dict[str, str] = {}  # one string object per distinct query id and tag
     with open(path, "r", encoding="utf-8") as fh:
         for n, line in enumerate(fh, start=1):
             if not line.strip():
@@ -232,7 +233,8 @@ def read_run(path) -> RunList:
             # nan compares False, so it would slip past the score-order check.
             if not math.isfinite(score):
                 raise ValueError(f"malformed run line {n}")
-            entries.append(RunEntry(cols[0], cols[2], rank, score, cols[5]))
+            entries.append(RunEntry(names.setdefault(cols[0], cols[0]), cols[2],
+                                    rank, score, names.setdefault(cols[5], cols[5])))
     return RunList(entries)
 
 

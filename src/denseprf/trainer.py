@@ -1,22 +1,24 @@
 """Contrastive training of the PRF query encoder.
 
 The document encoder is frozen: positive and negative document embeddings
-are looked up from the vector index, never re-encoded.  Negatives are hard
-negatives sampled from a first-round run; optionally the positives of the
-other examples in a microbatch join the negative set, except those equal to
-the example's own positive.  ``train_prf`` prepares the feedback queries
-once and resamples the hard negatives every epoch.  Gradient accumulation
-averages microbatch-mean gradients so that (batch b, accum a) matches
-(batch a*b, accum 1) on the same example order.
+are looked up from the vector index, never re-encoded.
+``prepare_training_queries`` runs round one once and returns a
+``TrainingSet``: per trainable query its feedback sequence, positive, the
+docs judged relevant to it and its negative pool, the top first-round docs
+minus the judged ones.  ``train`` draws each query's hard negatives from its
+pool every epoch.  With in-batch negatives, another example's positive joins
+an example's negatives after the draw, once, unless it is judged relevant to
+that example's query.  Gradient accumulation averages microbatch-mean
+gradients so that (batch b, accum a) matches (batch a*b, accum 1) on the
+same example order.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import typing
-from dataclasses import asdict, dataclass
-from typing import Callable, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -27,11 +29,10 @@ from .encoder import (
     HeadPolicy,
     grad,
     init_prf_encoder,
-    nce_terms,
     param_layout,
 )
 from .index import VectorIndex
-from .pipeline import feedback_sequence, first_round, results_to_run
+from .pipeline import feedback_sequence, first_round
 from .tokenizer import CasePolicy, TokenSequence, Vocab
 
 OPTIMIZERS = ("adamw", "lamb")
@@ -66,15 +67,33 @@ def check_config(cls, data: Mapping, label: str) -> None:
 
 
 @dataclass(frozen=True)
-class TrainingExample:
-    query_id: str
-    prf_query: TokenSequence
-    positive_doc_id: str
-    negative_doc_ids: tuple[str, ...]
+class TrainingSet:
+    """Parallel tuples, one entry per trainable query, in query-list order.
+
+    ``positions`` are the queries' places in the input list and seed their
+    negatives; ``relevant`` holds the docs judged >= 1, the positive among
+    them; ``pools`` hold first-round doc ids, none of them judged, in rank
+    order.
+    """
+
+    positions: tuple[int, ...]
+    sequences: tuple[TokenSequence, ...]
+    positives: tuple[str, ...]
+    pools: tuple[tuple[str, ...], ...]
+    relevant: tuple[frozenset[str], ...]
 
     def __post_init__(self):
-        if self.positive_doc_id in self.negative_doc_ids:
-            raise ValueError("positive listed among negatives")
+        fields = (self.sequences, self.positives, self.pools, self.relevant)
+        if any(len(f) != len(self.positions) for f in fields):
+            raise ValueError("training set fields differ in length")
+        for positive, pool, judged in zip(self.positives, self.pools, self.relevant):
+            if positive not in judged:
+                raise ValueError(f"positive not among judged docs: {positive}")
+            if not judged.isdisjoint(pool):
+                raise ValueError("negative pool holds a judged doc")
+
+    def __len__(self) -> int:
+        return len(self.positions)
 
 
 @dataclass(frozen=True)
@@ -99,6 +118,11 @@ class TrainConfig:
                      "negatives_per_query", "negative_pool_depth"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        if self.negative_pool_depth < self.negatives_per_query:
+            raise ValueError(
+                f"negative_pool_depth ({self.negative_pool_depth}) must be"
+                f" >= negatives_per_query ({self.negatives_per_query})"
+            )
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
 
@@ -111,16 +135,6 @@ class TrainConfig:
         if "head_policy" in data and not isinstance(data["head_policy"], HeadPolicy):
             data["head_policy"] = HeadPolicy(data["head_policy"])
         return cls(**data)
-
-    @classmethod
-    def from_json_file(cls, path) -> "TrainConfig":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
-
-    def to_dict(self) -> dict:
-        data = asdict(self)
-        data["head_policy"] = self.head_policy.value
-        return data
 
 
 @dataclass
@@ -148,55 +162,18 @@ class TrainLogEntry:
     epoch: int
 
 
-def nce_loss(q: np.ndarray, pos: np.ndarray, negs: Sequence[np.ndarray]) -> float:
-    """Noisy-contrastive loss of one query against its positive and negatives."""
-    negs = np.atleast_2d(np.asarray(negs, dtype=np.float64))
-    if negs.shape[0] < 1 or negs.size == 0:
-        raise ValueError("at least one negative required")
-    if pos.shape != q.shape or negs.shape[1] != q.shape[0]:
-        raise ValueError("dimension mismatch")
-    scores = np.concatenate(([pos @ q], negs @ q))
-    if not np.all(np.isfinite(scores)):
-        raise ValueError("non-finite input")
-    loss, _ = nce_terms(scores)
-    return loss
+def sample_negatives(pool: Sequence[str], n: int, seed: int) -> list[str]:
+    """Draw n distinct negatives uniformly from ``pool``.
 
-
-def sample_negatives(
-    run,
-    qrels,
-    query_id: str,
-    pool_depth: int,
-    n: int,
-    seed: int,
-) -> list[str]:
-    """Sample n negatives uniformly from the top pool_depth run entries.
-
-    Docs judged relevant (grade >= 1) in qrels are excluded.  When the
-    eligible pool is exactly n, the whole pool is returned sorted by doc_id.
+    An exact pool comes back sorted by doc id; a short one raises.
     """
-    entries = run.by_query().get(query_id)
-    if not entries:
-        raise ValueError(f"query not in run: {query_id}")
-    pool = [e.doc_id for e in entries[:pool_depth]]
-    eligible = [d for d in pool if qrels.grade(query_id, d) < 1]
-    if len(eligible) < n:
+    if len(pool) < n:
         raise ValueError("insufficient negatives")
-    if len(eligible) == n:
-        return sorted(eligible)
+    if len(pool) == n:
+        return sorted(pool)
     rng = np.random.default_rng(seed)
-    picks = rng.choice(len(eligible), size=n, replace=False)
-    return [eligible[i] for i in picks]
-
-
-@dataclass(frozen=True)
-class PreparedQuery:
-    """Epoch-independent part of a training example."""
-
-    query_id: str
-    query_index: int
-    prf_query: TokenSequence
-    positive_doc_id: str
+    picks = rng.choice(len(pool), size=n, replace=False)
+    return [pool[i] for i in picks]
 
 
 def prepare_training_queries(
@@ -210,58 +187,30 @@ def prepare_training_queries(
     depth: PrfDepth,
     template: PrfTemplate,
     pool_depth: int,
-):
-    """One first-round pass per query supplies feedback docs and negative pool.
+) -> TrainingSet:
+    """One first-round pass per judged query supplies feedback docs and pool.
 
     Queries without a positive judgment are skipped; the highest-grade
-    positive wins, ties broken by doc_id.  Returns (run, prepared queries);
-    the run is reused every epoch since the base encoder is frozen.
+    positive wins, ties broken by doc_id.  The set is reused every epoch
+    since the base encoder is frozen.
     """
     pool_k = max(pool_depth, depth.k)
-    per_query = [
-        (qid, first_round(text, vocab, base_params, index, pool_k, policy))
-        for qid, text in queries
-    ]
-    run = results_to_run(per_query, tag="pool")
-    prepared = []
-    for qi, ((qid, text), (_, hits)) in enumerate(zip(queries, per_query)):
-        positives = qrels.positives(qid, 1)
-        if not positives:
+    rows = []
+    for position, (qid, text) in enumerate(queries):
+        judged = qrels.positives(qid, 1)
+        if not judged:
             continue
-        pos_id = min(positives, key=lambda d: (-positives[d], d))
-        prf_query = feedback_sequence(text, hits, vocab, texts, depth, template, policy)
-        prepared.append(PreparedQuery(qid, qi, prf_query, pos_id))
-    if not prepared:
+        hits = first_round(text, vocab, base_params, index, pool_k, policy)
+        rows.append((
+            position,
+            feedback_sequence(text, hits, vocab, texts, depth, template, policy),
+            min(judged, key=lambda d: (-judged[d], d)),
+            tuple(h.doc_id for h in hits[:pool_depth] if h.doc_id not in judged),
+            frozenset(judged),
+        ))
+    if not rows:
         raise ValueError("no trainable queries (no positive judgments)")
-    return run, prepared
-
-
-def examples_for_epoch(
-    run,
-    qrels,
-    prepared: Sequence[PreparedQuery],
-    cfg: TrainConfig,
-    negatives_seed: int,
-    epoch: int,
-) -> list[TrainingExample]:
-    """Attach epoch-seeded hard negatives to the prepared queries."""
-    examples = []
-    for pq in prepared:
-        negs = sample_negatives(
-            run, qrels, pq.query_id,
-            pool_depth=cfg.negative_pool_depth,
-            n=cfg.negatives_per_query,
-            seed=derive_seed(negatives_seed, epoch, pq.query_index),
-        )
-        examples.append(
-            TrainingExample(
-                query_id=pq.query_id,
-                prf_query=pq.prf_query,
-                positive_doc_id=pq.positive_doc_id,
-                negative_doc_ids=tuple(negs),
-            )
-        )
-    return examples
+    return TrainingSet(*map(tuple, zip(*rows)))
 
 
 def optimizer_step(
@@ -309,64 +258,64 @@ def optimizer_step(
 
 
 def _resolve_batch(
-    batch: Sequence[TrainingExample],
+    data: TrainingSet,
+    negatives: Sequence[Sequence[str]],
+    members: Sequence[int],
     index: VectorIndex,
     in_batch_negatives: bool,
 ) -> list[GradExample]:
+    """Grad inputs of one microbatch; ``negatives[i]`` is example i's draw."""
     def lookup(doc_id: str) -> np.ndarray:
         try:
             return index.vector(doc_id)
         except KeyError:
             raise ValueError(f"missing document embedding: {doc_id}") from None
 
-    positives = [lookup(ex.positive_doc_id) for ex in batch]
+    in_batch = [data.positives[j] for j in members]
     resolved = []
-    for i, ex in enumerate(batch):
-        negs = [lookup(d) for d in ex.negative_doc_ids]
+    for i in members:
+        neg_ids = negatives[i]
         if in_batch_negatives:
-            # Another query may share this positive; it is never a negative.
-            negs.extend(
-                p for other, p in zip(batch, positives)
-                if other.positive_doc_id != ex.positive_doc_id
-            )
-        if not negs:
-            raise ValueError("example has no negatives")
+            neg_ids = dict.fromkeys(
+                [*neg_ids, *(d for d in in_batch if d not in data.relevant[i])])
         resolved.append(
             GradExample(
-                tokens=ex.prf_query,
-                positive=positives[i],
-                negatives=np.stack(negs),
+                tokens=data.sequences[i],
+                positive=lookup(data.positives[i]),
+                negatives=np.stack([lookup(d) for d in neg_ids]),
             )
         )
     return resolved
 
 
-ExampleSource = Sequence[TrainingExample] | Callable[[int], Sequence[TrainingExample]]
-
-
 def train(
-    data: ExampleSource,
+    data: TrainingSet,
     base: EncoderParams,
     doc_index: VectorIndex,
     cfg: TrainConfig,
+    negatives_seed: int,
 ) -> tuple[EncoderParams, list[TrainLogEntry]]:
     """Train the PRF query encoder against the frozen document index.
 
-    ``data`` is either a fixed example list or a callable mapping the epoch
-    number to that epoch's examples (used to resample hard negatives with an
-    epoch-dependent seed).  Returns the final params and a step/loss log.
+    Each epoch draws every query's hard negatives with the seed
+    ``derive_seed(negatives_seed, epoch, position)``.  Returns the final
+    params and a step/loss log.
     """
+    if not len(data):
+        raise ValueError("no training data")
     params = init_prf_encoder(base, cfg.head_policy, cfg.seed)
     state = OptimizerState.for_params(params)
     log: list[TrainLogEntry] = []
     step = 0
 
     for epoch in range(cfg.epochs):
-        examples = list(data(epoch)) if callable(data) else list(data)
-        if not examples:
-            raise ValueError("no training data")
+        negatives = [
+            sample_negatives(pool, cfg.negatives_per_query,
+                             derive_seed(negatives_seed, epoch, position))
+            for position, pool in zip(data.positions, data.pools)
+        ]
         rng = np.random.default_rng([cfg.seed, epoch])
-        order = rng.permutation(len(examples))
+        order = rng.permutation(len(data))
 
         acc: np.ndarray | None = None
         acc_losses: list[float] = []
@@ -387,9 +336,10 @@ def train(
             acc = None
             acc_losses = []
 
-        for start in range(0, len(examples), cfg.batch_size):
-            micro = [examples[i] for i in order[start:start + cfg.batch_size]]
-            resolved = _resolve_batch(micro, doc_index, cfg.in_batch_negatives)
+        for start in range(0, len(data), cfg.batch_size):
+            members = order[start:start + cfg.batch_size]
+            resolved = _resolve_batch(
+                data, negatives, members, doc_index, cfg.in_batch_negatives)
             loss, grads = grad(params, resolved)
             if acc is None:
                 acc = grads.flat
@@ -416,15 +366,12 @@ def train_prf(
     cfg: TrainConfig,
     negatives_seed: int,
 ) -> tuple[EncoderParams, list[TrainLogEntry]]:
-    """Train the feedback encoder on ``queries``: prepare once, resample per epoch."""
-    run, prepared = prepare_training_queries(
+    """Train the feedback encoder on ``queries``: prepare once, redraw per epoch."""
+    data = prepare_training_queries(
         vocab, base, index, texts, queries, qrels,
         policy, depth, template, cfg.negative_pool_depth,
     )
-    return train(
-        lambda e: examples_for_epoch(run, qrels, prepared, cfg, negatives_seed, e),
-        base, index, cfg,
-    )
+    return train(data, base, index, cfg, negatives_seed)
 
 
 def epoch_mean_losses(log: Sequence[TrainLogEntry]) -> dict[int, float]:

@@ -28,6 +28,7 @@ from denseprf.encoder import (
     batch_loss,
     grad,
     init_params,
+    nce_terms,
     param_layout,
     params_allclose,
 )
@@ -42,7 +43,7 @@ from denseprf.synth import (
     run_experiment,
 )
 from denseprf.tokenizer import CasePolicy, TokenSequence
-from denseprf.trainer import TrainConfig, TrainingExample, nce_loss, train
+from denseprf.trainer import TrainConfig, TrainingSet, train
 
 from instances import random_eval_instance
 from oracles import naive_topk, oracle_mrr, oracle_ndcg, oracle_recall
@@ -237,6 +238,9 @@ def test_c04_gradients_match_finite_differences(acceptance_lines):
 
 
 def test_c05_uniform_score_loss_closed_form(acceptance_lines):
+    def nce_loss(q, pos, negs):
+        return nce_terms(np.array([pos @ q, *(np.asarray(negs) @ q)]))[0]
+
     with criterion(acceptance_lines, 5, "uniform-score loss closed form") as info:
         rng = np.random.default_rng(105)
         worst = 0.0
@@ -263,18 +267,19 @@ def _accum_params():
 
 
 def _accum_examples(rng, index, n):
+    """n queries with 3-doc pools: drawing 3 negatives returns the sorted pool."""
     doc_ids = index.doc_ids()
-    examples = []
-    for i in range(n):
+    rows = []
+    for _ in range(n):
         picks = rng.choice(len(doc_ids), size=4, replace=False)
         ids = tuple(int(x) for x in rng.integers(0, 12, size=int(rng.integers(2, 8))))
-        examples.append(TrainingExample(
-            query_id=f"q{i}",
-            prf_query=TokenSequence(ids=ids, policy_used=CasePolicy.PRESERVE),
-            positive_doc_id=doc_ids[picks[0]],
-            negative_doc_ids=tuple(doc_ids[j] for j in picks[1:]),
+        rows.append((
+            TokenSequence(ids=ids, policy_used=CasePolicy.PRESERVE),
+            doc_ids[picks[0]],
+            tuple(doc_ids[j] for j in picks[1:]),
+            frozenset([doc_ids[picks[0]]]),
         ))
-    return examples
+    return TrainingSet(tuple(range(n)), *map(tuple, zip(*rows)))
 
 
 def test_c06_accumulation_equals_large_batch(acceptance_lines):
@@ -284,13 +289,14 @@ def test_c06_accumulation_equals_large_batch(acceptance_lines):
         index = VectorIndex.build((f"d{i:03d}", vecs[i]) for i in range(40))
         base = _accum_params()
         examples = _accum_examples(rng, index, 32)
-        common = dict(optimizer="adamw", learning_rate=1e-3, epochs=1, seed=5)
+        common = dict(optimizer="adamw", learning_rate=1e-3, epochs=1, seed=5,
+                      negatives_per_query=3)
         params_a, log_a = train(
             examples, base, index,
-            TrainConfig(batch_size=4, grad_accum_steps=8, **common))
+            TrainConfig(batch_size=4, grad_accum_steps=8, **common), 0)
         params_b, log_b = train(
             examples, base, index,
-            TrainConfig(batch_size=32, grad_accum_steps=1, **common))
+            TrainConfig(batch_size=32, grad_accum_steps=1, **common), 0)
         assert len(log_a) == len(log_b) == 1
         assert params_allclose(params_a, params_b, atol=1e-10)
         assert abs(log_a[0].loss - log_b[0].loss) <= 1e-10

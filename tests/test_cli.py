@@ -339,6 +339,19 @@ def test_train_config_value_types_exit_2(ws, capsys):
     assert "train config key epochs must be int, got str" in capsys.readouterr().err
 
 
+def test_pool_depth_below_negatives_exits_2(ws, capsys):
+    # Rejected with the config, before the first-round pass; no file exists yet.
+    assert main([
+        "train", "--vocab", p(ws, "vocab.txt"), "--params", p(ws, "base.enc"),
+        "--index", p(ws, "docs.idx"), "--corpus", p(ws, "corpus.tsv"),
+        "--queries", p(ws, "queries.tsv"), "--qrels", p(ws, "qrels.txt"),
+        "--prf-params", p(ws, "prf.enc"), "--negatives", "5", "--pool-depth", "4",
+    ]) == 2
+    err = capsys.readouterr().err
+    assert "negative_pool_depth (4) must be >= negatives_per_query (5)" in err
+    assert not (ws / "prf.enc").exists()
+
+
 def test_eval_rejects_non_finite_run_score(ws, capsys):
     run_path = ws / "nan.run"
     run_path.write_text("q1 Q0 d1 1 nan t\nq1 Q0 d2 2 9.5 t\n")

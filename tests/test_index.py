@@ -154,6 +154,37 @@ def test_save_load_round_trip(tmp_path):
     assert loaded.doc_ids() == index.doc_ids()
 
 
+def test_save_writes_canonical_layout(tmp_path):
+    v1, v2 = np.array([1.0, -2.5]), np.array([0.25, 3.0])
+    index = VectorIndex.build([("d1", v1), ("doc\u00e9", v2)])
+    path = tmp_path / "docs.idx"
+    index.save(path)
+    payload = struct.pack("<ii", 2, 2)
+    for doc_id, v in (("d1", v1), ("doc\u00e9", v2)):
+        raw = doc_id.encode("utf-8")
+        payload += struct.pack("<i", len(raw)) + raw + v.astype("<f4").tobytes()
+    digest = hashlib.blake2b(payload, digest_size=8).digest()
+    assert path.read_bytes() == INDEX_MAGIC + payload + digest
+    assert index.checksum == int.from_bytes(digest, "little")
+
+
+def test_load_holds_little_beyond_the_index(tmp_path):
+    # Loading used to keep three copies of the file plus a re-serialized
+    # payload alive at once; now the transient is about one file's bytes.
+    rng = np.random.default_rng(12)
+    _, _, index = make_index(rng, n=10_000, dim=16)
+    path = tmp_path / "docs.idx"
+    index.save(path)
+    tracemalloc.start()
+    try:
+        loaded = VectorIndex.load(path)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert loaded == index
+    assert peak - kept < 2 * path.stat().st_size
+
+
 def test_equality_semantics():
     v = np.ones(4)
     a = VectorIndex.build([("d1", v), ("d2", 2 * v)])

@@ -106,6 +106,14 @@ def test_run_file_round_trip(tmp_path):
     assert loaded.entries[2].score == pytest.approx(0.333333)
 
 
+def test_read_run_shares_query_id_and_tag_strings(tmp_path):
+    path = tmp_path / "run.txt"
+    path.write_text("q1 Q0 a 1 2.0 base\nq1 Q0 b 2 1.0 base\nq2 Q0 a 1 1.0 base\n")
+    q1a, q1b, q2a = read_run(path).entries
+    assert q1a.query_id is q1b.query_id
+    assert q1a.tag is q1b.tag is q2a.tag
+
+
 def test_read_run_reports_line_numbers(tmp_path):
     good = "q1 Q0 d{i} {i} {score:.6f} tag"
     lines = [

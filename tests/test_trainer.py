@@ -1,5 +1,4 @@
 import hashlib
-import json
 import math
 
 import numpy as np
@@ -15,22 +14,23 @@ from denseprf.encoder import (
     grad,
     init_params,
     init_prf_encoder,
+    nce_terms,
     param_layout,
     params_allclose,
 )
 from denseprf.evaluator import Qrels
 from denseprf.index import VectorIndex
-from denseprf.pipeline import RunEntry, RunList, encode_corpus, search_run
+from denseprf.pipeline import encode_corpus, first_round, search_run
 from denseprf.tokenizer import CasePolicy, TokenSequence, build_vocab
 from denseprf.trainer import (
     OptimizerState,
     TrainConfig,
-    TrainingExample,
+    TrainingSet,
     TrainLogEntry,
     derive_seed,
     epoch_mean_losses,
-    nce_loss,
     optimizer_step,
+    prepare_training_queries,
     sample_negatives,
     train,
     train_prf,
@@ -56,22 +56,26 @@ def small_index(rng, n=40):
     return VectorIndex.build((f"d{i:03d}", vecs[i]) for i in range(n))
 
 
+NEG = 3  # every test pool holds exactly NEG docs, so each draw is the sorted pool
+
+
+def training_set(rows):
+    """TrainingSet from (sequence, positive, pool, judged) rows at positions 0..n-1."""
+    columns = list(zip(*rows)) or [()] * 4
+    return TrainingSet(tuple(range(len(rows))), *map(tuple, columns))
+
+
 def make_examples(rng, index, n):
     doc_ids = index.doc_ids()
-    examples = []
-    for i in range(n):
-        picks = rng.choice(len(doc_ids), size=4, replace=False)
+    rows = []
+    for _ in range(n):
+        picks = rng.choice(len(doc_ids), size=NEG + 1, replace=False)
         length = int(rng.integers(2, 8))
         ids = rng.integers(0, 12, size=length)
-        examples.append(
-            TrainingExample(
-                query_id=f"q{i}",
-                prf_query=seq(*ids.tolist()),
-                positive_doc_id=doc_ids[picks[0]],
-                negative_doc_ids=tuple(doc_ids[j] for j in picks[1:]),
-            )
-        )
-    return examples
+        positive = doc_ids[picks[0]]
+        pool = tuple(doc_ids[j] for j in picks[1:])
+        rows.append((seq(*ids.tolist()), positive, pool, frozenset([positive])))
+    return training_set(rows)
 
 
 # -- config --------------------------------------------------------------------
@@ -102,6 +106,9 @@ def test_train_config_validation():
         TrainConfig(epochs=0)
     with pytest.raises(ValueError, match="seed"):
         TrainConfig(seed=-1)
+    with pytest.raises(ValueError, match=r"negative_pool_depth \(4\) must be"
+                                         r" >= negatives_per_query \(5\)"):
+        TrainConfig(negatives_per_query=5, negative_pool_depth=4)
     TrainConfig(learning_rate=0.0)  # explicit no-op rate is legal
 
 
@@ -118,24 +125,18 @@ def test_train_config_from_dict():
             TrainConfig.from_dict(bad)
 
 
-def test_train_config_round_trip(tmp_path):
-    cfg = TrainConfig(epochs=3, head_policy=HeadPolicy.REINIT)
-    data = cfg.to_dict()
-    assert data["head_policy"] == "reinit"
-    assert TrainConfig.from_dict(data) == cfg
-    path = tmp_path / "train.json"
-    path.write_text(json.dumps(data))
-    assert TrainConfig.from_json_file(path) == cfg
+def test_training_set_rejects_judged_docs_in_pools():
+    def one(positive, pool, judged):
+        return TrainingSet((0,), (seq(0, 1),), (positive,), (pool,), (frozenset(judged),))
 
-
-def test_training_example_rejects_positive_in_negatives():
-    with pytest.raises(ValueError, match="positive listed among negatives"):
-        TrainingExample(
-            query_id="q1",
-            prf_query=seq(0, 1),
-            positive_doc_id="d1",
-            negative_doc_ids=("d2", "d1"),
-        )
+    with pytest.raises(ValueError, match="negative pool holds a judged doc"):
+        one("d1", ("d2", "d1"), {"d1"})
+    with pytest.raises(ValueError, match="negative pool holds a judged doc"):
+        one("d1", ("d2", "d3"), {"d1", "d3"})
+    with pytest.raises(ValueError, match="positive not among judged docs: d1"):
+        one("d1", ("d2",), {"d3"})
+    with pytest.raises(ValueError, match="training set fields differ in length"):
+        TrainingSet((0, 1), (seq(0, 1),), ("d1",), (("d2",),), (frozenset({"d1"}),))
 
 
 # -- seeds ----------------------------------------------------------------------
@@ -151,6 +152,10 @@ def test_derive_seed_properties():
 
 
 # -- loss ------------------------------------------------------------------------
+
+
+def nce_loss(q, pos, negs):
+    return nce_terms(np.array([pos @ q, *(np.asarray(negs) @ q)]))[0]
 
 
 def test_nce_loss_equal_scores_is_ln2():
@@ -170,62 +175,71 @@ def test_nce_loss_matches_scalar_oracle():
         assert abs(nce_loss(q, pos, negs) - ref) <= 1e-12
 
 
-def test_nce_loss_validation():
-    q = np.ones(4)
-    with pytest.raises(ValueError, match="at least one negative"):
-        nce_loss(q, np.ones(4), [])
-    with pytest.raises(ValueError, match="dimension mismatch"):
-        nce_loss(q, np.ones(5), [np.ones(4)])
-    with pytest.raises(ValueError, match="dimension mismatch"):
-        nce_loss(q, np.ones(4), [np.ones(3)])
-    with pytest.raises(ValueError, match="non-finite input"):
-        nce_loss(q, np.full(4, np.inf), [np.ones(4)])
-
-
 # -- negative sampling -------------------------------------------------------------
 
 
-def run_of(qid, doc_ids):
-    entries = [
-        RunEntry(qid, d, rank, float(len(doc_ids) - rank), "t")
-        for rank, d in enumerate(doc_ids, start=1)
-    ]
-    return RunList(entries)
+PREP_CORPUS = {
+    f"d{i:02d}": text for i, text in enumerate([
+        "red apple tree", "green apple pie", "red cherry tree", "blue sky above",
+        "green grass field", "blue ocean wave", "red brick wall", "apple orchard field",
+        "cherry pie recipe", "ocean tree island", "sky wall art", "grass pie contest",
+    ])
+}
 
 
-def test_sample_negatives_excludes_judged():
-    run = run_of("q1", ["a", "b", "c", "d", "e", "f"])
-    qrels = Qrels.from_triples([("q1", "b", 1), ("q1", "e", 2)])
-    got = sample_negatives(run, qrels, "q1", pool_depth=6, n=4, seed=0)
-    assert got == ["a", "c", "d", "f"]  # exact pool comes back sorted
+@pytest.fixture(scope="module")
+def prep():
+    """Vocab, base params and index over PREP_CORPUS."""
+    vocab = build_vocab(PREP_CORPUS.values())
+    base = init_params(EncoderConfig(len(vocab), DIM, 1, 2, 32), seed=3, scale=0.3)
+    return vocab, base, encode_corpus(PREP_CORPUS, vocab, base, CasePolicy.PRESERVE)
+
+
+def prepare(prep, queries, qrels, pool_depth):
+    vocab, base, index = prep
+    return prepare_training_queries(
+        vocab, base, index, PREP_CORPUS, queries, qrels, CasePolicy.PRESERVE,
+        PrfDepth(2), PrfTemplate(TemplateKind.ANCE, max_len=32), pool_depth)
+
+
+def ranked(prep, text, k):
+    vocab, base, index = prep
+    return [r.doc_id for r in first_round(text, vocab, base, index, k, CasePolicy.PRESERVE)]
+
+
+def test_sample_negatives_excludes_judged(prep):
+    top = ranked(prep, "red tree", 6)
+    qrels = Qrels.from_triples(
+        [("q1", top[0], 2), ("q1", top[3], 1), ("q1", top[1], 0)])
+    data = prepare(prep, [("q1", "red tree")], qrels, pool_depth=6)
+    assert data.positives == (top[0],)
+    assert data.relevant == (frozenset({top[0], top[3]}),)
+    pool = (top[1], top[2], top[4], top[5])  # grade 0 is not judged relevant
+    assert data.pools == (pool,)
+    assert sample_negatives(pool, 4, seed=0) == sorted(pool)  # exact pool: sorted
 
 
 def test_sample_negatives_random_subset():
-    run = run_of("q1", [f"d{i}" for i in range(20)])
-    qrels = Qrels.from_triples([("q1", "d0", 1)])
-    got = sample_negatives(run, qrels, "q1", pool_depth=20, n=5, seed=4)
+    pool = tuple(f"d{i}" for i in range(1, 20))
+    got = sample_negatives(pool, 5, seed=4)
     assert len(got) == len(set(got)) == 5
-    assert "d0" not in got
-    assert got == sample_negatives(run, qrels, "q1", pool_depth=20, n=5, seed=4)
-    other = sample_negatives(run, qrels, "q1", pool_depth=20, n=5, seed=5)
-    assert got != other
+    assert set(got) <= set(pool)
+    assert got == sample_negatives(pool, 5, seed=4)
+    assert got != sample_negatives(pool, 5, seed=5)
 
 
-def test_sample_negatives_respects_pool_depth():
-    run = run_of("q1", [f"d{i}" for i in range(10)])
-    qrels = Qrels.from_triples([("q1", "d9", 1)])
+def test_sample_negatives_respects_pool_depth(prep):
+    top = ranked(prep, "red tree", 10)
+    qrels = Qrels.from_triples([("q1", top[9], 1)])
+    data = prepare(prep, [("q1", "red tree")], qrels, pool_depth=4)
+    assert data.pools == (tuple(top[:4]),)
     for seed in range(10):
-        got = sample_negatives(run, qrels, "q1", pool_depth=4, n=3, seed=seed)
-        assert set(got) <= {"d0", "d1", "d2", "d3"}
+        assert set(sample_negatives(data.pools[0], 3, seed=seed)) <= set(top[:4])
 
 
 def test_sample_negatives_errors():
-    run = run_of("q1", ["a", "b", "c"])
-    qrels = Qrels.from_triples([("q1", "a", 1)])
     with pytest.raises(ValueError, match="insufficient negatives"):
-        sample_negatives(run, qrels, "q1", pool_depth=3, n=3, seed=0)
-    with pytest.raises(ValueError, match="query not in run: q2"):
-        sample_negatives(run, qrels, "q2", pool_depth=3, n=1, seed=0)
+        sample_negatives(("b", "c"), 3, seed=0)
 
 
 # -- optimizer ----------------------------------------------------------------------
@@ -356,13 +370,14 @@ def test_accumulation_matches_large_batch():
     index = small_index(rng)
     base = small_params()
     examples = make_examples(rng, index, 32)
-    common = dict(optimizer="adamw", learning_rate=1e-3, epochs=1, seed=5)
+    common = dict(optimizer="adamw", learning_rate=1e-3, epochs=1, seed=5,
+                  negatives_per_query=NEG)
     params_a, log_a = train(
         examples, base, index,
-        TrainConfig(batch_size=4, grad_accum_steps=8, **common))
+        TrainConfig(batch_size=4, grad_accum_steps=8, **common), 0)
     params_b, log_b = train(
         examples, base, index,
-        TrainConfig(batch_size=32, grad_accum_steps=1, **common))
+        TrainConfig(batch_size=32, grad_accum_steps=1, **common), 0)
     assert len(log_a) == len(log_b) == 1
     assert params_allclose(params_a, params_b, atol=1e-10)
     assert abs(log_a[0].loss - log_b[0].loss) <= 1e-10
@@ -390,11 +405,11 @@ def test_lamb_accumulation_matches_hand_loop():
     base = small_params()
     examples = make_examples(rng, index, 32)
     cfg = TrainConfig(optimizer="lamb", learning_rate=1e-3, batch_size=4,
-                      grad_accum_steps=3, epochs=1, seed=5)
-    trained, log = train(examples, base, index, cfg)
+                      grad_accum_steps=3, epochs=1, seed=5, negatives_per_query=NEG)
+    trained, log = train(examples, base, index, cfg, 0)
 
     order = np.random.default_rng([cfg.seed, 0]).permutation(len(examples))
-    micro = [[examples[i] for i in order[s:s + 4]] for s in range(0, 32, 4)]
+    micro = [order[s:s + 4] for s in range(0, 32, 4)]
     params = init_prf_encoder(base, cfg.head_policy, cfg.seed)
     state = OptimizerState.for_params(params)
     losses = []
@@ -403,11 +418,11 @@ def test_lamb_accumulation_matches_hand_loop():
         for batch in group:
             loss, g = grad(params, [
                 GradExample(
-                    ex.prf_query,
-                    index.vector(ex.positive_doc_id),
-                    np.stack([index.vector(d) for d in ex.negative_doc_ids]),
+                    examples.sequences[i],
+                    index.vector(examples.positives[i]),
+                    np.stack([index.vector(d) for d in sorted(examples.pools[i])]),
                 )
-                for ex in batch
+                for i in batch
             ])
             acc = g.flat if acc is None else acc + g.flat
             group_losses.append(loss)
@@ -424,13 +439,15 @@ def test_train_is_deterministic_for_seed():
     index = small_index(rng)
     base = small_params()
     examples = make_examples(rng, index, 8)
-    cfg = TrainConfig(batch_size=3, learning_rate=1e-3, epochs=2, seed=1)
-    params_a, log_a = train(examples, base, index, cfg)
-    params_b, log_b = train(examples, base, index, cfg)
+    cfg = TrainConfig(batch_size=3, learning_rate=1e-3, epochs=2, seed=1,
+                      negatives_per_query=NEG)
+    params_a, log_a = train(examples, base, index, cfg, 0)
+    params_b, log_b = train(examples, base, index, cfg, 0)
     assert params_allclose(params_a, params_b)
     assert log_a == log_b
-    cfg2 = TrainConfig(batch_size=3, learning_rate=1e-3, epochs=2, seed=2)
-    params_c, _ = train(examples, base, index, cfg2)
+    cfg2 = TrainConfig(batch_size=3, learning_rate=1e-3, epochs=2, seed=2,
+                       negatives_per_query=NEG)
+    params_c, _ = train(examples, base, index, cfg2, 0)
     assert not params_allclose(params_a, params_c)
 
 
@@ -440,8 +457,8 @@ def test_train_log_shape_with_ragged_accumulation():
     base = small_params()
     examples = make_examples(rng, index, 10)
     cfg = TrainConfig(batch_size=4, grad_accum_steps=2, learning_rate=1e-3,
-                      epochs=2, seed=0)
-    _, log = train(examples, base, index, cfg)
+                      epochs=2, seed=0, negatives_per_query=NEG)
+    _, log = train(examples, base, index, cfg, 0)
     # 10 examples -> microbatches of 4,4,2 -> steps at accum 2 then a ragged
     # flush of one microbatch, per epoch
     assert [e.step for e in log] == [1, 2, 3, 4]
@@ -450,29 +467,14 @@ def test_train_log_shape_with_ragged_accumulation():
     assert all(np.isfinite(e.loss) for e in log)
 
 
-def test_train_callable_source_sees_epoch_numbers():
-    rng = np.random.default_rng(12)
-    index = small_index(rng)
-    base = small_params()
-    examples = make_examples(rng, index, 4)
-    seen = []
-
-    def source(epoch):
-        seen.append(epoch)
-        return examples
-
-    cfg = TrainConfig(batch_size=4, epochs=3, learning_rate=1e-4, seed=0)
-    train(source, base, index, cfg)
-    assert seen == [0, 1, 2]
-
-
 def test_train_loss_decreases_with_aggressive_rate():
     rng = np.random.default_rng(13)
     index = small_index(rng)
     base = small_params()
     examples = make_examples(rng, index, 6)
-    cfg = TrainConfig(batch_size=6, epochs=30, learning_rate=1e-2, seed=0)
-    _, log = train(examples, base, index, cfg)
+    cfg = TrainConfig(batch_size=6, epochs=30, learning_rate=1e-2, seed=0,
+                      negatives_per_query=NEG)
+    _, log = train(examples, base, index, cfg, 0)
     means = epoch_mean_losses(log)
     assert means[max(means)] < means[min(means)]
 
@@ -483,8 +485,8 @@ def test_train_reinit_head_changes_start():
     base = small_params()
     examples = make_examples(rng, index, 4)
     cfg = TrainConfig(batch_size=4, epochs=1, learning_rate=0.0, seed=3,
-                      head_policy=HeadPolicy.REINIT)
-    params, _ = train(examples, base, index, cfg)
+                      negatives_per_query=NEG, head_policy=HeadPolicy.REINIT)
+    params, _ = train(examples, base, index, cfg, 0)
     assert not np.array_equal(params.head.w, base.head.w)
     assert np.array_equal(params.tok_emb, base.tok_emb)  # lr 0: body untouched
 
@@ -494,10 +496,11 @@ def test_in_batch_negatives_change_loss():
     index = small_index(rng)
     base = small_params()
     examples = make_examples(rng, index, 4)
-    kwargs = dict(batch_size=4, epochs=1, learning_rate=1e-4, seed=0)
-    _, log_off = train(examples, base, index, TrainConfig(**kwargs))
+    kwargs = dict(batch_size=4, epochs=1, learning_rate=1e-4, seed=0,
+                  negatives_per_query=NEG)
+    _, log_off = train(examples, base, index, TrainConfig(**kwargs), 0)
     _, log_on = train(examples, base, index,
-                      TrainConfig(in_batch_negatives=True, **kwargs))
+                      TrainConfig(in_batch_negatives=True, **kwargs), 0)
     assert log_off[0].loss != log_on[0].loss
 
 
@@ -507,30 +510,64 @@ def test_in_batch_negatives_skip_a_shared_positive():
     rng = np.random.default_rng(19)
     index = small_index(rng, n=6)
     base = small_params()
-    shared = [
-        TrainingExample(query_id=f"q{i}", prf_query=seq(0, i + 1),
-                        positive_doc_id="d000", negative_doc_ids=("d001", "d002"))
+    shared = training_set([
+        (seq(0, i + 1), "d000", ("d001", "d002"), frozenset({"d000"}))
         for i in range(2)
-    ]
-    kwargs = dict(batch_size=2, epochs=1, learning_rate=1e-4, seed=0)
-    params_off, log_off = train(shared, base, index, TrainConfig(**kwargs))
+    ])
+    kwargs = dict(batch_size=2, epochs=1, learning_rate=1e-4, seed=0,
+                  negatives_per_query=2)
+    params_off, log_off = train(shared, base, index, TrainConfig(**kwargs), 0)
     params_on, log_on = train(shared, base, index,
-                              TrainConfig(in_batch_negatives=True, **kwargs))
+                              TrainConfig(in_batch_negatives=True, **kwargs), 0)
     assert log_on[0].loss == log_off[0].loss
     assert np.array_equal(params_on.flat, params_off.flat)
+
+
+def test_in_batch_negatives_skip_judged_and_repeated_docs(monkeypatch):
+    # q0 is also judged on q1's positive d001, and q1's pool holds q0's
+    # positive d000.  In-batch positives follow the draw, each doc at most
+    # once, and none judged relevant to the example's query.
+    rng = np.random.default_rng(20)
+    index = small_index(rng, n=8)
+    base = small_params()
+    data = training_set([
+        (seq(0, 1), "d000", ("d003", "d002"), frozenset({"d000", "d001"})),
+        (seq(0, 2), "d001", ("d005", "d000"), frozenset({"d001"})),
+        (seq(0, 3), "d004", ("d006", "d005"), frozenset({"d004"})),
+    ])
+    batches = []
+    real_grad = trainer_module.grad
+
+    def spy_grad(params, examples):
+        batches.append(examples)
+        return real_grad(params, examples)
+
+    monkeypatch.setattr(trainer_module, "grad", spy_grad)
+    cfg = TrainConfig(batch_size=3, epochs=1, learning_rate=1e-4, seed=0,
+                      negatives_per_query=2, in_batch_negatives=True)
+    train(data, base, index, cfg, 0)
+    order = np.random.default_rng([cfg.seed, 0]).permutation(3)
+    in_batch = [data.positives[i] for i in order]
+    expected = {
+        0: ["d002", "d003"] + [d for d in in_batch if d == "d004"],
+        1: ["d000", "d005"] + [d for d in in_batch if d == "d004"],
+        2: ["d005", "d006"] + [d for d in in_batch if d != "d004"],
+    }
+    [batch] = batches
+    for i, ex in zip(order, batch):
+        assert ex.tokens == data.sequences[i]
+        want = np.stack([index.vector(d) for d in expected[i]])
+        assert np.array_equal(ex.negatives, want), i
 
 
 def test_train_missing_document_embedding():
     rng = np.random.default_rng(16)
     index = small_index(rng, n=4)
     base = small_params()
-    ex = TrainingExample(
-        query_id="q0", prf_query=seq(0, 1),
-        positive_doc_id="d000", negative_doc_ids=("ghost",),
-    )
-    cfg = TrainConfig(batch_size=1, epochs=1)
+    data = training_set([(seq(0, 1), "d000", ("ghost",), frozenset({"d000"}))])
+    cfg = TrainConfig(batch_size=1, epochs=1, negatives_per_query=1)
     with pytest.raises(ValueError, match="missing document embedding: ghost"):
-        train([ex], base, index, cfg)
+        train(data, base, index, cfg, 0)
 
 
 def test_train_rejects_empty_data():
@@ -539,50 +576,33 @@ def test_train_rejects_empty_data():
     base = small_params()
     cfg = TrainConfig(epochs=1)
     with pytest.raises(ValueError, match="no training data"):
-        train([], base, index, cfg)
-    with pytest.raises(ValueError, match="no training data"):
-        train(lambda epoch: [], base, index, cfg)
+        train(training_set([]), base, index, cfg, 0)
 
 
-def test_example_with_no_negatives_rejected():
+def test_train_short_pool_raises_before_first_step(monkeypatch):
     rng = np.random.default_rng(18)
-    index = small_index(rng, n=4)
+    index = small_index(rng)
     base = small_params()
-    ex = TrainingExample(
-        query_id="q0", prf_query=seq(0, 1),
-        positive_doc_id="d000", negative_doc_ids=(),
-    )
-    cfg = TrainConfig(batch_size=1, epochs=1)
-    with pytest.raises(ValueError, match="example has no negatives"):
-        train([ex], base, index, cfg)
-    # with in-batch negatives another example's positive fills the gap
-    other = TrainingExample(
-        query_id="q1", prf_query=seq(0, 2),
-        positive_doc_id="d001", negative_doc_ids=(),
-    )
-    cfg2 = TrainConfig(batch_size=2, epochs=1, in_batch_negatives=True,
-                       learning_rate=1e-4)
-    params, log = train([ex, other], base, index, cfg2)
-    assert len(log) == 1
+    data = make_examples(rng, index, 4)
+    short = training_set([
+        *zip(data.sequences, data.positives, data.pools, data.relevant),
+        (seq(0, 1), "d000", ("d001",), frozenset({"d000"})),
+    ])
+    steps = []
+    monkeypatch.setattr(trainer_module, "optimizer_step",
+                        lambda *args: steps.append(args))
+    cfg = TrainConfig(batch_size=1, epochs=1, negatives_per_query=NEG)
+    with pytest.raises(ValueError, match="insufficient negatives"):
+        train(short, base, index, cfg, 0)
+    assert steps == []
 
 
 # -- training preparation ------------------------------------------------------------
 
 
-PREP_CORPUS = {
-    f"d{i:02d}": text for i, text in enumerate([
-        "red apple tree", "green apple pie", "red cherry tree", "blue sky above",
-        "green grass field", "blue ocean wave", "red brick wall", "apple orchard field",
-        "cherry pie recipe", "ocean tree island", "sky wall art", "grass pie contest",
-    ])
-}
-
-
-def test_train_prf_prepares_once_and_seeds_negatives_by_position(monkeypatch):
-    vocab = build_vocab(PREP_CORPUS.values())
-    base = init_params(EncoderConfig(len(vocab), DIM, 1, 2, 32), seed=3, scale=0.3)
+def test_train_prf_prepares_once_and_seeds_negatives_by_position(prep, monkeypatch):
+    vocab, base, index = prep
     policy = CasePolicy.PRESERVE
-    index = encode_corpus(PREP_CORPUS, vocab, base, policy)
     # q0 has no positive: it is skipped but still holds position 0.
     queries = [("q0", "blue sky"), ("q1", "red tree"), ("q2", "apple pie"),
                ("q3", "ocean wave")]
@@ -598,35 +618,35 @@ def test_train_prf_prepares_once_and_seeds_negatives_by_position(monkeypatch):
         first_round_calls.append(args[0])
         return real_first_round(*args, **kwargs)
 
-    epochs = {}
-    real_train = trainer_module.train
+    draws = []
+    real_sample = trainer_module.sample_negatives
 
-    def spy_train(data, *args):
-        epochs.update({e: data(e) for e in range(cfg.epochs)})
-        return real_train(data, *args)
+    def recording_sample(*args):
+        draws.append(tuple(real_sample(*args)))
+        return list(draws[-1])
 
     monkeypatch.setattr(trainer_module, "first_round", counting_first_round)
-    monkeypatch.setattr(trainer_module, "train", spy_train)
+    monkeypatch.setattr(trainer_module, "sample_negatives", recording_sample)
     _, log = train_prf(
         vocab, base, index, PREP_CORPUS, queries, qrels, policy, PrfDepth(2),
         PrfTemplate(TemplateKind.ANCE, max_len=32), cfg, negatives_seed)
-    assert first_round_calls == [text for _, text in queries]  # once, not per epoch
+    # once per judged query, not per epoch
+    assert first_round_calls == [text for _, text in queries[1:]]
     assert len(log) == 3 * 2
 
-    pool = search_run(queries, vocab, base, index, 10, policy)
+    pool = search_run(queries, vocab, base, index, 10, policy).by_query()
 
     def negatives(qid, seed):
-        return tuple(sample_negatives(pool, qrels, qid, pool_depth=10, n=3, seed=seed))
+        eligible = [e.doc_id for e in pool[qid] if qrels.grade(qid, e.doc_id) < 1]
+        return tuple(sample_negatives(eligible, 3, seed=seed))
 
+    assert len(draws) == cfg.epochs * 3
     shifted = 0
-    for e, examples in epochs.items():
-        assert [ex.query_id for ex in examples] == ["q1", "q2", "q3"]
-        for ex in examples:
-            i = next(i for i, (qid, _) in enumerate(queries) if qid == ex.query_id)
-            seed = derive_seed(negatives_seed, e, i)
-            assert ex.negative_doc_ids == negatives(ex.query_id, seed)
-            shifted += ex.negative_doc_ids != negatives(
-                ex.query_id, derive_seed(negatives_seed, e, i - 1))
+    for e in range(cfg.epochs):
+        for k, (i, qid) in enumerate([(1, "q1"), (2, "q2"), (3, "q3")]):
+            got = draws[3 * e + k]
+            assert got == negatives(qid, derive_seed(negatives_seed, e, i))
+            shifted += got != negatives(qid, derive_seed(negatives_seed, e, i - 1))
     assert shifted  # the position check can tell a skipped query apart
 
 
