@@ -14,75 +14,4 @@ if _prf_threads:
     for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         _os.environ.setdefault(_var, _prf_threads)
 
-from .composer import PrfDepth, PrfTemplate, TemplateKind, compose
-from .encoder import (
-    EncoderConfig,
-    EncoderParams,
-    HeadPolicy,
-    encode,
-    init_params,
-    init_prf_encoder,
-    load_params,
-    save_params,
-)
-from .evaluator import (
-    MetricReport,
-    Qrels,
-    mrr_at_k,
-    ndcg_at_k,
-    paired_t_test,
-    recall_at_k,
-)
-from .index import SearchResult, VectorIndex
-from .pipeline import (
-    RetrievalCounters,
-    RunEntry,
-    RunList,
-    first_round,
-    prf_retrieve,
-    read_run,
-    write_run,
-)
-from .tokenizer import CasePolicy, TokenSequence, Vocab, build_vocab, tokenize
-from .trainer import TrainConfig, TrainingSet, sample_negatives, train
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "CasePolicy",
-    "EncoderConfig",
-    "EncoderParams",
-    "HeadPolicy",
-    "MetricReport",
-    "PrfDepth",
-    "PrfTemplate",
-    "Qrels",
-    "RetrievalCounters",
-    "RunEntry",
-    "RunList",
-    "SearchResult",
-    "TemplateKind",
-    "TokenSequence",
-    "TrainConfig",
-    "TrainingSet",
-    "Vocab",
-    "VectorIndex",
-    "build_vocab",
-    "compose",
-    "encode",
-    "first_round",
-    "init_params",
-    "init_prf_encoder",
-    "load_params",
-    "mrr_at_k",
-    "ndcg_at_k",
-    "paired_t_test",
-    "prf_retrieve",
-    "read_run",
-    "recall_at_k",
-    "sample_negatives",
-    "save_params",
-    "tokenize",
-    "train",
-    "write_run",
-]

@@ -87,11 +87,9 @@ class WorkspaceConfig:
         return cls(**raw)
 
 
-def _resolve(args, defaults: WorkspaceConfig | None = None) -> WorkspaceConfig:
+def _resolve(args) -> WorkspaceConfig:
     """Config file first, explicit flags on top."""
-    cfg = defaults or WorkspaceConfig()
-    if getattr(args, "config", None):
-        cfg = WorkspaceConfig.load(args.config)
+    cfg = WorkspaceConfig.load(args.config) if args.config else WorkspaceConfig()
     updates = {}
     for f in dataclasses.fields(WorkspaceConfig):
         flag = getattr(args, f.name, None)

@@ -1,15 +1,12 @@
 """Second-round query composition from first-round feedback documents.
 
-Three templates are supported, named for the encoder families they mimic:
+Two templates are supported, named for the encoder families they mimic:
 
-* ``ance``  -- BOS q SEP d1 SEP ... dk SEP
-* ``tct``   -- BOS [Q] q SEP d1 SEP ... dk, then MASK-padded to max_len
-* ``dbert`` -- BOS q SEP d1 SEP ... dk SEP
+* ``ance`` -- BOS q SEP d1 SEP ... dk SEP
+* ``tct``  -- BOS [Q] q SEP d1 SEP ... dk, then MASK-padded to max_len
 
-``ance`` and ``dbert`` coincide at the id level because this engine keeps a
-single BOS/SEP inventory; they stay distinct template choices so runs are
-self-describing.  Truncation always drops from the tail (lowest-ranked
-feedback content); the query itself is never truncated.
+Truncation always drops from the tail (lowest-ranked feedback content); the
+query itself is never truncated.
 """
 
 from __future__ import annotations
@@ -24,7 +21,6 @@ from .tokenizer import TokenSequence, Vocab
 class TemplateKind(Enum):
     ANCE = "ance"
     TCT = "tct"
-    DBERT = "dbert"
 
 
 @dataclass(frozen=True)

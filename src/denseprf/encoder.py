@@ -136,14 +136,6 @@ class HeadPolicy(Enum):
     REINIT = "reinit"
 
 
-def params_allclose(a: EncoderParams, b: EncoderParams, atol: float = 0.0) -> bool:
-    if a.config != b.config:
-        return False
-    if atol == 0.0:
-        return bool(np.array_equal(a.flat, b.flat))
-    return bool(np.allclose(a.flat, b.flat, rtol=0.0, atol=atol))
-
-
 def init_params(config: EncoderConfig, seed: int, scale: float = 0.02) -> EncoderParams:
     """Randomly initialized encoder (normal ``scale`` weights, identity norms).
 
@@ -317,26 +309,6 @@ def nce_terms(scores: np.ndarray) -> tuple[float, np.ndarray]:
     return loss, p
 
 
-def _example_forward(params: EncoderParams, ex: GradExample, want_cache: bool):
-    q, cache = _forward(params, ex.tokens.ids, want_cache)
-    scores = np.concatenate(([ex.positive @ q], ex.negatives @ q))
-    loss, p = nce_terms(scores)
-    return q, cache, loss, p
-
-
-def batch_loss(params: EncoderParams, batch: Sequence[GradExample]) -> float:
-    """Mean contrastive loss over the batch (no gradients)."""
-    if not batch:
-        raise ValueError("empty batch")
-    total = 0.0
-    for i, ex in enumerate(batch):
-        _, _, loss, _ = _example_forward(params, ex, want_cache=False)
-        if not np.isfinite(loss):
-            raise ValueError(f"numerical overflow in example {i}")
-        total += loss
-    return total / len(batch)
-
-
 def grad(
     params: EncoderParams, batch: Sequence[GradExample]
 ) -> tuple[float, EncoderParams]:
@@ -352,7 +324,8 @@ def grad(
     total_loss = 0.0
 
     for i, ex in enumerate(batch):
-        q, cache, loss, p = _example_forward(params, ex, want_cache=True)
+        q, cache = _forward(params, ex.tokens.ids, want_cache=True)
+        loss, p = nce_terms(np.concatenate(([ex.positive @ q], ex.negatives @ q)))
         if not np.isfinite(loss) or not np.all(np.isfinite(p)):
             raise ValueError(f"numerical overflow in example {i}")
         total_loss += loss

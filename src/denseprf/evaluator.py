@@ -68,9 +68,6 @@ class Qrels:
             if qid == query_id and g >= threshold
         }
 
-    def query_ids(self) -> set[str]:
-        return {qid for qid, _ in self.judgments}
-
     @property
     def is_graded(self) -> bool:
         """True when any grade exceeds 1 (multi-level judgments)."""
@@ -91,41 +88,35 @@ def _report(name: str, k: int, per_query: dict[str, float], thr=None) -> MetricR
     return MetricReport(name, k, per_query, mean, thr)
 
 
-def mrr_at_k(run: RunList, qrels: Qrels, k: int, rel_threshold: int = 1) -> MetricReport:
-    """Reciprocal rank of the first doc at/above rel_threshold within top k."""
+def mrr_at_k(run: RunList, qrels: Qrels, k: int) -> MetricReport:
+    """Reciprocal rank of the first doc judged >= 1 within top k."""
     if k < 1:
         raise ValueError("k must be >= 1")
     per_query: dict[str, float] = {}
     for qid, entries in run.by_query().items():
-        if not qrels.positives(qid, rel_threshold):
+        if not qrels.positives(qid, 1):
             continue
         value = 0.0
         for e in entries[:k]:
-            if qrels.grade(qid, e.doc_id) >= rel_threshold:
+            if qrels.grade(qid, e.doc_id) >= 1:
                 value = 1.0 / e.rank
                 break
         per_query[qid] = value
     return _report("MRR", k, per_query)
 
 
-def ndcg_at_k(
-    run: RunList, qrels: Qrels, k: int, exponential_gain: bool = False
-) -> MetricReport:
-    """nDCG with linear gain by default; exponential (2^g - 1) optional."""
+def ndcg_at_k(run: RunList, qrels: Qrels, k: int) -> MetricReport:
+    """nDCG with linear gain: a doc's gain is its grade."""
     if k < 1:
         raise ValueError("k must be >= 1")
-
-    def gain(g: int) -> float:
-        return float(2 ** g - 1) if exponential_gain else float(g)
-
     per_query: dict[str, float] = {}
     for qid, entries in run.by_query().items():
         grades = sorted(qrels.positives(qid, 1).values(), reverse=True)
-        idcg = sum(gain(g) / math.log2(i + 1) for i, g in enumerate(grades[:k], 1))
+        idcg = sum(g / math.log2(i + 1) for i, g in enumerate(grades[:k], 1))
         if idcg == 0.0:
             continue
         dcg = sum(
-            gain(qrels.grade(qid, e.doc_id)) / math.log2(e.rank + 1)
+            qrels.grade(qid, e.doc_id) / math.log2(e.rank + 1)
             for e in entries[:k]
         )
         per_query[qid] = dcg / idcg

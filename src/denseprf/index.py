@@ -80,15 +80,9 @@ class VectorIndex:
     def checksum(self) -> int:
         return self._checksum
 
-    def doc_ids(self) -> list[str]:
-        return list(self._ids)
-
     def vector(self, doc_id: str) -> np.ndarray:
         """Float64 view of one stored embedding (KeyError if absent)."""
         return self._vec64[self._row_of[doc_id]]
-
-    def entries(self) -> list[tuple[str, np.ndarray]]:
-        return [(d, self._vec64[i]) for i, d in enumerate(self._ids)]
 
     def search(self, q: np.ndarray, k: int) -> list[SearchResult]:
         """Exact top-k by inner product, ties by doc_id ascending."""

@@ -65,9 +65,6 @@ class RunList:
     def entries(self) -> list[RunEntry]:
         return [e for items in self._by_query.values() for e in items]
 
-    def query_ids(self) -> list[str]:
-        return list(self._by_query)
-
     def __len__(self) -> int:
         return sum(len(v) for v in self._by_query.values())
 

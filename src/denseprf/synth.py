@@ -279,14 +279,6 @@ class ExperimentResult:
     prf_params: EncoderParams
 
     @property
-    def first_epoch_loss(self) -> float:
-        return self.epoch_losses[min(self.epoch_losses)]
-
-    @property
-    def final_epoch_loss(self) -> float:
-        return self.epoch_losses[max(self.epoch_losses)]
-
-    @property
     def mrr_gap(self) -> float:
         return self.prf_mrr - self.round1_mrr
 

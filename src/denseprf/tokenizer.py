@@ -82,12 +82,6 @@ class Vocab:
         """Id of ``token``, falling back to the UNK id."""
         return self._token_to_id.get(token, self.unk_id)
 
-    def token_of(self, token_id: int) -> str:
-        return self._id_to_token[token_id]
-
-    def tokens(self) -> list[str]:
-        return list(self._id_to_token)
-
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             for tok in self._id_to_token:
@@ -141,8 +135,3 @@ def tokenize(text: str, vocab: Vocab, policy: CasePolicy) -> TokenSequence:
         text = text.lower()
     ids = tuple(vocab.id_of(tok) for tok in split_text(text))
     return TokenSequence(ids=ids, policy_used=policy)
-
-
-def detokenize(ids: Iterable[int], vocab: Vocab) -> str:
-    """Space-join the token strings for the given ids."""
-    return " ".join(vocab.token_of(i) for i in ids)

@@ -1,13 +1,15 @@
-"""Randomized (run, qrels) instance builder shared by evaluator tests.
+"""Test-side builders shared by several test modules.
 
-Returns both package objects and plain-dict mirrors so the independent
-oracle never touches package types.
+``random_eval_instance`` returns both package objects and plain-dict
+mirrors so the independent evaluator oracle never touches package types.
+``batch_loss`` is the finite-difference objective of the gradient checks.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from denseprf.encoder import encode, nce_terms
 from denseprf.evaluator import Qrels
 from denseprf.pipeline import RunEntry, RunList
 
@@ -40,3 +42,15 @@ def random_eval_instance(rng: np.random.Generator):
             qrels_dict[(qid, doc_ids[j])] = grade
 
     return RunList(entries), run_dict, Qrels.from_triples(triples), qrels_dict
+
+
+def batch_loss(params, batch) -> float:
+    """Mean NCE loss of ``batch``, the objective ``encoder.grad`` differentiates.
+
+    Summed in example order and divided once, as ``grad`` sums its loss.
+    """
+    total = 0.0
+    for ex in batch:
+        q = encode(params, ex.tokens)
+        total += nce_terms(np.concatenate(([ex.positive @ q], ex.negatives @ q)))[0]
+    return total / len(batch)

@@ -1,7 +1,14 @@
 import json
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import denseprf
 from denseprf.cli import main
 from denseprf.encoder import EncoderConfig, init_params, load_params, save_params
 from denseprf.index import VectorIndex
@@ -43,18 +50,16 @@ QRELS = [
 ]
 
 
+def write_inputs(path, corpus=CORPUS):
+    (path / "corpus.tsv").write_text("".join(f"{d}\t{t}\n" for d, t in corpus.items()))
+    (path / "queries.tsv").write_text("".join(f"{q}\t{t}\n" for q, t in QUERIES.items()))
+    (path / "qrels.txt").write_text("".join(f"{q} 0 {d} {g}\n" for q, d, g in QRELS))
+
+
 @pytest.fixture()
 def ws(tmp_path):
     """Workspace directory with corpus/queries/qrels files and path helpers."""
-    (tmp_path / "corpus.tsv").write_text(
-        "".join(f"{d}\t{t}\n" for d, t in CORPUS.items())
-    )
-    (tmp_path / "queries.tsv").write_text(
-        "".join(f"{q}\t{t}\n" for q, t in QUERIES.items())
-    )
-    (tmp_path / "qrels.txt").write_text(
-        "".join(f"{q} 0 {d} {g}\n" for q, d, g in QRELS)
-    )
+    write_inputs(tmp_path)
     return tmp_path
 
 
@@ -94,7 +99,7 @@ def test_full_workflow(ws, capsys):
         "--run", p(ws, "base.run"), "--topk", "8",
     ]) == 0
     run = read_run(ws / "base.run")
-    assert set(run.query_ids()) == set(QUERIES)
+    assert set(run.by_query()) == set(QUERIES)
     assert all(e.tag == "base" for e in run.entries)
 
     assert main([
@@ -245,9 +250,17 @@ def test_invalid_json_config_exits_2(ws, capsys):
 
 def test_bad_template_in_config_exits_2(ws, capsys):
     cfg_path = ws / "bad.json"
-    cfg_path.write_text(json.dumps({"template": "roberta"}))
-    assert main(["eval", "--config", str(cfg_path)]) == 2
-    assert "unknown template: roberta" in capsys.readouterr().err
+    for name in ("roberta", "dbert"):
+        cfg_path.write_text(json.dumps({"template": name}))
+        assert main(["eval", "--config", str(cfg_path)]) == 2
+        assert f"unknown template: {name}" in capsys.readouterr().err
+
+
+def test_dbert_template_flag_exits_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["search-prf", "--template", "dbert"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'dbert'" in capsys.readouterr().err
 
 
 def test_depth_exceeding_topk_exits_2(ws, capsys):
@@ -469,3 +482,88 @@ def test_cli_reproduces_driver_runs(tmp_path):
         write_run(run, tmp_path / f"driver_{name}.run")
         assert (tmp_path / f"{name}.run").read_bytes() == (
             tmp_path / f"driver_{name}.run").read_bytes()
+
+
+# -- thread, BLAS-kernel and corpus-order invariance ---------------------------
+
+# The tiny workflow above, run in a child process so that PRF_THREADS and
+# OPENBLAS_CORETYPE take effect before numpy loads its BLAS.
+PIPELINE = [
+    ["build-vocab"],
+    ["init-params", "--dim", "16", "--layers", "1", "--heads", "2"],
+    ["encode-corpus"],
+    ["search", "--run", "base.run"],
+    ["train", "--epochs", "1", "--batch-size", "4", "--lr", "1e-4",
+     "--negatives", "3", "--pool-depth", "8"],
+    ["search-prf", "--run", "prf.run"],
+]
+PIPELINE_CONFIG = {
+    "vocab": "vocab.txt", "params": "base.enc", "prf_params": "prf.enc",
+    "index": "docs.idx", "corpus": "corpus.tsv", "queries": "queries.tsv",
+    "qrels": "qrels.txt", "topk": 8, "prf_depth": 2, "max_len": 64,
+}
+CHILD = """\
+import json, sys
+from denseprf.cli import main
+for argv in json.loads(sys.argv[1]):
+    if main([argv[0], "--config", "ws.json", *argv[1:]]):
+        sys.exit(f"failed: {argv}")
+"""
+OUTPUTS = ("docs.idx", "base.run", "prf.enc", "prf.run")
+BLAS_ENV = ("PRF_THREADS", "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+            "MKL_NUM_THREADS", "OPENBLAS_CORETYPE")
+
+
+def run_pipeline(workdir, corpus=CORPUS, **env):
+    """Outputs of PIPELINE in a fresh child process with ``env`` on top."""
+    write_inputs(workdir, corpus)
+    (workdir / "ws.json").write_text(json.dumps(PIPELINE_CONFIG))
+    child_env = {k: v for k, v in os.environ.items() if k not in BLAS_ENV}
+    src = str(Path(denseprf.__file__).parents[1])
+    child_env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", CHILD, json.dumps(PIPELINE)], cwd=workdir,
+        env={**child_env, **env}, capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    return {name: (workdir / name).read_bytes() for name in OUTPUTS}
+
+
+def dynamic_openblas_x86() -> bool:
+    """True when numpy's OpenBLAS picks its kernel at run time on x86-64."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        return False
+    return platform.machine() == "x86_64" and "DYNAMIC_ARCH" in str(blas)
+
+
+@pytest.fixture(scope="module")
+def one_thread_outputs(tmp_path_factory):
+    return run_pipeline(tmp_path_factory.mktemp("reference"), PRF_THREADS="1")
+
+
+@pytest.mark.parametrize("env, corpus, same, differ", [
+    # At this shape OpenBLAS may keep to one thread, so the case pins the
+    # contract at this shape only.  Never ask for more than 2 threads.
+    pytest.param({"PRF_THREADS": "2"}, CORPUS, OUTPUTS, (), id="threads-2"),
+    # Prescott is SSE3, present on every x86-64 CPU.  Trained params files
+    # are reproducible per kernel only, so prf.enc is not compared.
+    pytest.param(
+        {"PRF_THREADS": "1", "OPENBLAS_CORETYPE": "Prescott"}, CORPUS,
+        ("docs.idx", "base.run", "prf.run"), (), id="blas-prescott",
+        marks=pytest.mark.skipif(not dynamic_openblas_x86(),
+                                 reason="needs a DYNAMIC_ARCH OpenBLAS on x86-64"),
+    ),
+    # Index rows follow the corpus file; rankings and training do not.
+    pytest.param({"PRF_THREADS": "1"}, dict(reversed(CORPUS.items())),
+                 ("base.run", "prf.enc", "prf.run"), ("docs.idx",),
+                 id="corpus-reversed"),
+])
+def test_outputs_invariant(tmp_path, one_thread_outputs, env, corpus, same, differ):
+    got = run_pipeline(tmp_path, corpus, **env)
+    for name in same:
+        assert got[name] == one_thread_outputs[name], name
+    for name in differ:
+        assert got[name] != one_thread_outputs[name], name

@@ -40,14 +40,6 @@ def test_tct_template_structure_and_padding():
     assert len(out) == 16
 
 
-def test_dbert_matches_ance_at_id_level():
-    query = ids_range(10, 4)
-    docs = [ids_range(40, 5)]
-    ance = compose(query, docs, PrfTemplate(TemplateKind.ANCE, max_len=32), PrfDepth(1))
-    dbert = compose(query, docs, PrfTemplate(TemplateKind.DBERT, max_len=32), PrfDepth(1))
-    assert ance.ids == dbert.ids
-
-
 def test_ance_truncation_arithmetic():
     # 1 + 8 + 1 + 3*(200+1) = 613 tokens before truncation to 512.
     query = ids_range(10, 8)
@@ -72,10 +64,10 @@ def test_tct_pads_494_masks():
     assert MASK not in out.ids[:18]
 
 
-def test_dbert_empty_document():
+def test_ance_empty_document():
     query = ids_range(10, 6)
     out = compose(
-        query, [seq()], PrfTemplate(TemplateKind.DBERT, max_len=64), PrfDepth(1)
+        query, [seq()], PrfTemplate(TemplateKind.ANCE, max_len=64), PrfDepth(1)
     )
     assert out.ids == (BOS, *query.ids, SEP, SEP)
     assert len(out) == len(query) + 3

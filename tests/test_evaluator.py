@@ -37,7 +37,6 @@ def test_qrels_basics():
     assert q.grade("q1", "unjudged") == 0
     assert q.positives("q1") == {"d1": 2}
     assert q.positives("q1", 3) == {}
-    assert q.query_ids() == {"q1", "q2"}
     assert q.is_graded
     assert not Qrels.from_triples([("q1", "d1", 1)]).is_graded
 
@@ -94,9 +93,10 @@ def test_mrr_no_relevant_in_top_k():
 
 
 def test_mrr_threshold():
+    # Grade 1 is the lowest relevant grade; grade 0 is judged irrelevant.
     run = run_of(q1=["a", "b"])
-    qrels = Qrels.from_triples([("q1", "a", 1), ("q1", "b", 2)])
-    assert mrr_at_k(run, qrels, 10, rel_threshold=2).per_query == {"q1": 0.5}
+    qrels = Qrels.from_triples([("q1", "a", 0), ("q1", "b", 1)])
+    assert mrr_at_k(run, qrels, 10).per_query == {"q1": 0.5}
 
 
 def test_mrr_excludes_queries_without_positives():
@@ -132,18 +132,6 @@ def test_ndcg_reversal_decreases():
     bad = ndcg_at_k(run_of(q1=["lo", "hi"]), qrels, 10).per_query["q1"]
     assert good == 1.0
     assert bad < good
-
-
-def test_ndcg_exponential_gain_option():
-    run = run_of(q1=["a", "b"])
-    qrels = Qrels.from_triples([("q1", "a", 1), ("q1", "b", 3)])
-    linear = ndcg_at_k(run, qrels, 10).per_query["q1"]
-    expo = ndcg_at_k(run, qrels, 10, exponential_gain=True).per_query["q1"]
-    # exponential gain punishes misplacing the grade-3 doc harder
-    assert expo < linear
-    dcg = 1.0 + 7.0 / math.log2(3)
-    idcg = 7.0 + 1.0 / math.log2(3)
-    assert abs(expo - dcg / idcg) <= 1e-12
 
 
 def test_ndcg_skips_queries_with_zero_idcg():

@@ -19,10 +19,9 @@ def make_index(rng, n=20, dim=8, prefix="d"):
 
 def test_build_basic():
     rng = np.random.default_rng(0)
-    ids, vecs, index = make_index(rng)
+    _, _, index = make_index(rng)
     assert len(index) == 20
     assert index.dim == 8
-    assert index.doc_ids() == ids
     assert isinstance(index.checksum, int)
 
 
@@ -53,13 +52,20 @@ def test_vector_round_trips_float32():
         index.vector("nope")
 
 
-def test_entries_preserve_insertion_order():
+def test_entries_preserve_insertion_order(tmp_path):
+    # Rows keep build order, not doc-id order, in memory and on disk.
     rng = np.random.default_rng(2)
-    ids, vecs, index = make_index(rng, n=7)
-    got = index.entries()
-    assert [d for d, _ in got] == ids
-    for (_, v), orig in zip(got, vecs):
-        assert np.array_equal(v, orig.astype(np.float32).astype(np.float64))
+    ids = ["d5", "d0", "d3", "d1"]
+    vecs = rng.normal(size=(4, 3))
+    index = VectorIndex.build(zip(ids, vecs))
+    for doc_id, orig in zip(ids, vecs):
+        assert np.array_equal(index.vector(doc_id), orig.astype(np.float32))
+    index.save(tmp_path / "docs.idx")
+    rows = b"".join(
+        struct.pack("<i", 2) + d.encode() + v.astype("<f4").tobytes()
+        for d, v in zip(ids, vecs)
+    )
+    assert (tmp_path / "docs.idx").read_bytes()[len(INDEX_MAGIC) + 8:-8] == rows
 
 
 def test_search_matches_naive_oracle():
@@ -151,7 +157,6 @@ def test_save_load_round_trip(tmp_path):
     loaded = VectorIndex.load(path)
     assert loaded == index
     assert loaded.checksum == index.checksum
-    assert loaded.doc_ids() == index.doc_ids()
 
 
 def test_save_writes_canonical_layout(tmp_path):

@@ -44,7 +44,7 @@ def test_runlist_accepts_permuted_entries():
         entry("q1", "a", 1, 2.0),
     ]
     run = RunList(entries)
-    assert run.query_ids() == ["q2", "q1"]  # first-appearance order
+    assert list(run.by_query()) == ["q2", "q1"]  # first-appearance order
     assert [e.doc_id for e in run.by_query()["q1"]] == ["a", "b"]
     assert len(run) == 3
 
