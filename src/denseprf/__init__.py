@@ -8,10 +8,11 @@ evaluation, all reproducible from seeds on a single machine.
 
 import os as _os
 
-# Must happen before numpy loads its BLAS; results do not depend on it.
+# PRF_THREADS, when set, overrides the BLAS thread variables.  It must act
+# before numpy loads its BLAS; results do not depend on it.
 _prf_threads = _os.environ.get("PRF_THREADS")
 if _prf_threads:
     for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        _os.environ.setdefault(_var, _prf_threads)
+        _os.environ[_var] = _prf_threads
 
 __version__ = "0.1.0"

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping
 
 from .pipeline import RunList
@@ -61,12 +62,17 @@ class Qrels:
     def grade(self, query_id: str, doc_id: str) -> int:
         return self.judgments.get((query_id, doc_id), 0)
 
+    @cached_property
+    def _by_query(self) -> dict[str, dict[str, int]]:
+        """The judgments grouped by query, built once, on the first lookup."""
+        by_query: dict[str, dict[str, int]] = {}
+        for (qid, did), grade in self.judgments.items():
+            by_query.setdefault(qid, {})[did] = grade
+        return by_query
+
     def positives(self, query_id: str, threshold: int = 1) -> dict[str, int]:
-        return {
-            did: g
-            for (qid, did), g in self.judgments.items()
-            if qid == query_id and g >= threshold
-        }
+        judged = self._by_query.get(query_id, {})
+        return {did: g for did, g in judged.items() if g >= threshold}
 
     @property
     def is_graded(self) -> bool:

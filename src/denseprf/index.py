@@ -1,9 +1,11 @@
 """Immutable document-embedding store with exact top-k inner-product search.
 
 Vectors are quantized to float32 at build time (the on-disk precision) and
-scored in float64.  Search is an exhaustive scan; ties break by doc_id
-ascending.  A 64-bit digest over the canonical byte layout guards both the
-file format and the shared-between-rounds immutability contract.
+scored in float64.  Search scans every row exhaustively, then selects
+partially: a partition finds the k-th best score and only the rows at or
+above it are sorted.  Ties break by doc_id ascending, exactly as a full sort
+would order them.  A 64-bit digest over the canonical byte layout guards both
+the file format and the shared-between-rounds immutability contract.
 """
 
 from __future__ import annotations
@@ -85,14 +87,25 @@ class VectorIndex:
         return self._vec64[self._row_of[doc_id]]
 
     def search(self, q: np.ndarray, k: int) -> list[SearchResult]:
-        """Exact top-k by inner product, ties by doc_id ascending."""
+        """Exact top-k by inner product, ties by doc_id ascending.
+
+        Every row is scored (one matrix-vector product), but only the rows
+        scoring at least the k-th best score are sorted by (-score, doc_id),
+        so the sort grows with k and the ties at the cut, not with the index.
+        """
         q = np.asarray(q, dtype=np.float64)
         if q.shape != (self.dim,):
             raise ValueError("dimension mismatch")
         if k < 1:
             raise ValueError("k must be >= 1")
         scores = self._vec64 @ q
-        order = np.lexsort((self._ids_arr, -scores))[: min(k, len(self._ids))]
+        neg = -scores
+        cut = min(k, len(neg)) - 1
+        # Every row scoring at least the k-th score, ties at the cut included;
+        # ``~(>)`` also keeps NaN rows, which sort last anyway.
+        kth = np.partition(neg, cut)[cut]
+        rows = np.flatnonzero(~(neg > kth))
+        order = rows[np.lexsort((self._ids_arr[rows], neg[rows]))][:k]
         return [
             SearchResult(doc_id=self._ids[i], score=float(scores[i]), rank=r)
             for r, i in enumerate(order, start=1)

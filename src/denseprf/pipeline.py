@@ -56,10 +56,11 @@ class RunList:
             for prev, cur in zip(items, items[1:]):
                 if cur.score > prev.score:
                     raise ValueError(f"scores increase for query {qid}")
-        self._by_query = grouped
+        self._by_query = {q: tuple(items) for q, items in grouped.items()}
 
-    def by_query(self) -> dict[str, list[RunEntry]]:
-        return {q: list(v) for q, v in self._by_query.items()}
+    def by_query(self) -> dict[str, tuple[RunEntry, ...]]:
+        """Each query's entries in rank order; the tuples are shared, not copied."""
+        return dict(self._by_query)
 
     @property
     def entries(self) -> list[RunEntry]:

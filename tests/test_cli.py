@@ -514,20 +514,42 @@ BLAS_ENV = ("PRF_THREADS", "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
             "MKL_NUM_THREADS", "OPENBLAS_CORETYPE")
 
 
+def child_env(**env):
+    """This environment without BLAS settings, ``env`` on top, denseprf importable."""
+    base = {k: v for k, v in os.environ.items() if k not in BLAS_ENV}
+    src = str(Path(denseprf.__file__).parents[1])
+    base["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**base, **env}
+
+
 def run_pipeline(workdir, corpus=CORPUS, **env):
     """Outputs of PIPELINE in a fresh child process with ``env`` on top."""
     write_inputs(workdir, corpus)
     (workdir / "ws.json").write_text(json.dumps(PIPELINE_CONFIG))
-    child_env = {k: v for k, v in os.environ.items() if k not in BLAS_ENV}
-    src = str(Path(denseprf.__file__).parents[1])
-    child_env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))
     done = subprocess.run(
         [sys.executable, "-c", CHILD, json.dumps(PIPELINE)], cwd=workdir,
-        env={**child_env, **env}, capture_output=True, text=True,
+        env=child_env(**env), capture_output=True, text=True,
     )
     assert done.returncode == 0, done.stderr
     return {name: (workdir / name).read_bytes() for name in OUTPUTS}
+
+
+@pytest.mark.parametrize("env, want", [
+    # PRF_THREADS overrides every BLAS thread variable already set ...
+    ({"PRF_THREADS": "1", "OMP_NUM_THREADS": "2", "OPENBLAS_NUM_THREADS": "2",
+      "MKL_NUM_THREADS": "2"}, ["1", "1", "1"]),
+    ({"PRF_THREADS": "1", "OPENBLAS_NUM_THREADS": "2"}, ["1", "1", "1"]),
+    # ... and without it they are left alone.
+    ({"OPENBLAS_NUM_THREADS": "2"}, [None, "2", None]),
+])
+def test_prf_threads_sets_blas_threads(env, want):
+    child = ("import json, os, denseprf; print(json.dumps([os.environ.get(v) for v in"
+             " ('OMP_NUM_THREADS', 'OPENBLAS_NUM_THREADS', 'MKL_NUM_THREADS')]))")
+    done = subprocess.run([sys.executable, "-c", child], env=child_env(**env),
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == want
 
 
 def dynamic_openblas_x86() -> bool:

@@ -20,6 +20,7 @@ from denseprf.encoder import (
     param_count,
     param_layout,
     save_params,
+    _gelu_fwd,
 )
 from denseprf.tokenizer import CasePolicy, TokenSequence
 
@@ -138,6 +139,20 @@ def test_forward_matches_hand_oracle():
         lib = encode(p, seq(*ids))
         ref = forward_oracle(p, ids)
         assert np.max(np.abs(lib - ref)) <= 1e-6
+
+
+@pytest.mark.parametrize("scale", [0.5, 2.0, 8.0])
+def test_gelu_cube_by_products_matches_pow_form(scale):
+    # The FFN's GELU cubes by multiplication; the pow form is the definition.
+    # Checked on the (T, 4 * dim) pre-activations it sees at the synthetic and
+    # TCT shapes, within 1e-14 absolute.
+    rng = np.random.default_rng(int(scale * 10))
+    for rows in (60, 128):
+        x = rng.normal(scale=scale, size=(rows, 4 * 48))
+        t_ref = np.tanh(math.sqrt(2.0 / math.pi) * (x + 0.044715 * x ** 3))
+        y, t = _gelu_fwd(x)
+        assert np.max(np.abs(t - t_ref)) <= 1e-14
+        assert np.max(np.abs(y - 0.5 * x * (1.0 + t_ref))) <= 1e-14
 
 
 def test_forward_error_cases():

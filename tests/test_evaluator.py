@@ -16,7 +16,7 @@ from denseprf.evaluator import (
 from denseprf.pipeline import RunEntry, RunList
 
 from instances import random_eval_instance
-from oracles import oracle_mrr, oracle_ndcg, oracle_recall
+from oracles import _positives, oracle_mrr, oracle_ndcg, oracle_recall
 
 
 def run_of(**per_query):
@@ -39,6 +39,58 @@ def test_qrels_basics():
     assert q.positives("q1", 3) == {}
     assert q.is_graded
     assert not Qrels.from_triples([("q1", "d1", 1)]).is_graded
+
+
+def test_positives_match_scan_oracle():
+    # positives reads the query's own group; the oracle scans every judgment.
+    rng = np.random.default_rng(21)
+    for _ in range(40):
+        _, _, qrels, qdict = random_eval_instance(rng)
+        for qid in sorted({q for q, _ in qdict}) + ["unknown"]:
+            for threshold in (1, 2, 3):
+                got = qrels.positives(qid, threshold)
+                want = _positives(qdict, qid, threshold)
+                assert list(got.items()) == list(want.items())
+
+
+class CountingJudgments(dict):
+    """A judgments mapping that counts every walk over its entries."""
+
+    walks = 0
+
+    def _walked(self, view):
+        self.walks += 1
+        return view
+
+    def items(self):
+        return self._walked(super().items())
+
+    def values(self):
+        return self._walked(super().values())
+
+    def keys(self):
+        return self._walked(super().keys())
+
+    def __iter__(self):
+        return self._walked(super().__iter__())
+
+
+def test_judgments_walked_a_constant_number_of_times():
+    # Lookups must not rescan every judgment: 1,000 positives calls and the
+    # three metrics over 50 queries walk the judgments a fixed number of times.
+    rng = np.random.default_rng(22)
+    judgments = CountingJudgments(
+        ((f"q{q}", f"d{d}"), int(rng.integers(0, 4)))
+        for q in range(50) for d in range(20)
+    )
+    qrels = Qrels(judgments)
+    for i in range(1000):
+        qrels.positives(f"q{i % 60}", 1 + i % 3)
+    run = run_of(**{f"q{q}": [f"d{d}" for d in range(0, 20, 2)] for q in range(50)})
+    reports = [mrr_at_k(run, qrels, 10), ndcg_at_k(run, qrels, 10),
+               recall_at_k(run, qrels, 10)]
+    assert all(len(r.per_query) > 40 for r in reports)
+    assert judgments.walks <= 3
 
 
 def test_qrels_validation():

@@ -103,6 +103,44 @@ def test_search_breaks_ties_by_doc_id():
     assert results[1].score == results[2].score == results[3].score
 
 
+def full_sort(ids, vectors, q):
+    """Every row lexsorted on (-score, doc_id), scores as hex."""
+    scores = vectors @ q
+    order = np.lexsort((np.asarray(ids), -scores))
+    return [(ids[i], float(scores[i]).hex()) for i in order]
+
+
+@pytest.mark.parametrize("case", ["ties", "duplicates", "distinct"])
+def test_search_partial_selection_equals_full_sort(case):
+    # search sorts only the rows at or above the k-th score; it must return
+    # the same ids, score bits and tie order as sorting every row.
+    rng = np.random.default_rng(["ties", "duplicates", "distinct"].index(case))
+    n, dim = 96, 4
+    if case == "ties":  # few distinct scores: many exact ties at every cut
+        vecs = rng.integers(-1, 2, size=(n, dim)).astype(np.float64)
+    elif case == "duplicates":
+        vecs = np.repeat(rng.normal(size=(n // 8, dim)), 8, axis=0)
+    else:
+        vecs = rng.normal(size=(n, dim))
+    ids = [f"d{i:03d}" for i in rng.permutation(n)]  # row order != id order
+    index = VectorIndex.build(zip(ids, vecs))
+    stored = np.stack([index.vector(d) for d in ids])
+    ties_at_cut = 0
+    for _ in range(5):
+        for q in (rng.integers(-2, 3, size=dim).astype(np.float64),
+                  rng.normal(size=dim)):
+            full = full_sort(ids, stored, q)
+            for k in (1, 2, 7, n // 2, n - 1, n, n + 5):
+                results = index.search(q, k)
+                got = [(r.doc_id, r.score.hex()) for r in results]
+                assert got == full[:k]
+                assert got == [(d, s.hex()) for d, s in naive_topk(ids, stored, q, k)]
+                assert [r.rank for r in results] == list(range(1, len(got) + 1))
+                ties_at_cut += k < n and full[k - 1][1] == full[k][1]
+    if case != "distinct":
+        assert ties_at_cut > 10
+
+
 def test_search_k_larger_than_index():
     rng = np.random.default_rng(4)
     _, _, index = make_index(rng, n=5)

@@ -49,6 +49,15 @@ def test_runlist_accepts_permuted_entries():
     assert len(run) == 3
 
 
+def test_runlist_by_query_shares_immutable_entries():
+    run = RunList([entry("q1", "a", 1, 2.0), entry("q1", "b", 2, 1.0)])
+    first = run.by_query()
+    assert isinstance(first["q1"], tuple)
+    assert run.by_query()["q1"] is first["q1"]  # shared, not copied
+    first.pop("q1")
+    assert [e.doc_id for e in run.by_query()["q1"]] == ["a", "b"]
+
+
 def test_runlist_rejects_duplicates():
     with pytest.raises(ValueError, match="duplicate run entry: q1 a"):
         RunList([entry("q1", "a", 1, 2.0), entry("q1", "a", 2, 1.0)])
