@@ -94,8 +94,12 @@ def param_layout(config: EncoderConfig) -> tuple[LayoutEntry, ...]:
 
 
 def param_count(config: EncoderConfig) -> int:
-    _, offset, shape = param_layout(config)[-1]
-    return offset + math.prod(shape)
+    """The end of ``param_layout``, in closed form: no layout is built, so an
+    untrusted header's layer count costs nothing to check."""
+    d, f = config.dim, config.ff_dim
+    per_layer = 4 * (d * d + d) + 2 * d * f + f + 5 * d
+    head = d * d + 3 * d
+    return (config.vocab_size + config.max_len) * d + config.layers * per_layer + head
 
 
 class EncoderParams:

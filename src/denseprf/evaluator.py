@@ -10,8 +10,8 @@ Student-t CDF, so no external stats dependency is needed at runtime.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .pipeline import RunList
@@ -21,9 +21,23 @@ MAX_GRADE = 3
 
 @dataclass(frozen=True)
 class Qrels:
-    """Relevance judgments: one integer grade in [0, 3] per (query, doc)."""
+    """Relevance judgments: one integer grade in [0, 3] per (query, doc).
+
+    The judgments are copied and grouped by query once, at construction, so
+    later changes to the mapping passed in change nothing here; ``judgments``
+    is a read-only view of the copy.
+    """
 
     judgments: Mapping[tuple[str, str], int]
+    _by_query: dict[str, dict[str, int]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        judgments = dict(self.judgments)
+        by_query: dict[str, dict[str, int]] = {}
+        for (qid, did), grade in judgments.items():
+            by_query.setdefault(qid, {})[did] = grade
+        object.__setattr__(self, "judgments", MappingProxyType(judgments))
+        object.__setattr__(self, "_by_query", by_query)
 
     @classmethod
     def from_triples(cls, triples: Iterable[tuple[str, str, int]]) -> "Qrels":
@@ -60,15 +74,7 @@ class Qrels:
                 fh.write(f"{qid} 0 {did} {grade}\n")
 
     def grade(self, query_id: str, doc_id: str) -> int:
-        return self.judgments.get((query_id, doc_id), 0)
-
-    @cached_property
-    def _by_query(self) -> dict[str, dict[str, int]]:
-        """The judgments grouped by query, built once, on the first lookup."""
-        by_query: dict[str, dict[str, int]] = {}
-        for (qid, did), grade in self.judgments.items():
-            by_query.setdefault(qid, {})[did] = grade
-        return by_query
+        return self._by_query.get(query_id, {}).get(doc_id, 0)
 
     def positives(self, query_id: str, threshold: int = 1) -> dict[str, int]:
         judged = self._by_query.get(query_id, {})

@@ -7,6 +7,11 @@ index again — document embeddings are never touched between rounds.  One
 casing policy governs query and feedback text alike.  ``encode_corpus``,
 ``search_run`` and ``search_prf_run`` are the corpus and query-list stages
 that the CLI and the synthetic experiment share.
+
+A ranking has one shape from index to run file: ``VectorIndex.search``
+returns ``SearchResult`` hits, and a ``RunList`` keeps each query's hits in
+rank order under one tag for the whole run.  ``write_run`` and ``read_run``
+move it to and from the TREC run format.
 """
 
 from __future__ import annotations
@@ -23,48 +28,35 @@ from .index import SearchResult, VectorIndex
 from .tokenizer import CasePolicy, TokenSequence, Vocab, tokenize
 
 
-@dataclass(frozen=True, slots=True)
-class RunEntry:
-    query_id: str
-    doc_id: str
-    rank: int
-    score: float
-    tag: str
-
-
 class RunList:
-    """Validated run: per query, ranks contiguous from 1, scores non-increasing.
+    """Validated run: one tag; per query, ranks 1..n and scores non-increasing.
 
-    Entry order within the file is free (grouping happens on read); iteration
-    and writing use first-appearance query order with entries in rank order.
+    Each query's hits are kept as a tuple in rank order, queries in the
+    mapping's order (``read_run`` keeps the file's first-appearance order).
     """
 
-    def __init__(self, entries: Iterable[RunEntry]):
-        grouped: dict[str, list[RunEntry]] = {}
-        for e in entries:
-            grouped.setdefault(e.query_id, []).append(e)
-        for qid, items in grouped.items():
+    def __init__(self, by_query: Mapping[str, Iterable[SearchResult]], tag: str):
+        self.tag = tag
+        self._by_query: dict[str, tuple[SearchResult, ...]] = {}
+        for qid, hits in by_query.items():
+            hits = list(hits)
             seen: set[str] = set()
-            for e in items:
-                if e.doc_id in seen:
-                    raise ValueError(f"duplicate run entry: {qid} {e.doc_id}")
-                seen.add(e.doc_id)
-            items.sort(key=lambda e: e.rank)
-            for want, e in enumerate(items, start=1):
-                if e.rank != want:
+            for h in hits:
+                if h.doc_id in seen:
+                    raise ValueError(f"duplicate run entry: {qid} {h.doc_id}")
+                seen.add(h.doc_id)
+            hits.sort(key=lambda h: h.rank)
+            for want, h in enumerate(hits, start=1):
+                if h.rank != want:
                     raise ValueError(f"ranks not contiguous for query {qid}")
-            for prev, cur in zip(items, items[1:]):
+            for prev, cur in zip(hits, hits[1:]):
                 if cur.score > prev.score:
                     raise ValueError(f"scores increase for query {qid}")
-        self._by_query = {q: tuple(items) for q, items in grouped.items()}
+            self._by_query[qid] = tuple(hits)
 
-    def by_query(self) -> dict[str, tuple[RunEntry, ...]]:
-        """Each query's entries in rank order; the tuples are shared, not copied."""
+    def by_query(self) -> dict[str, tuple[SearchResult, ...]]:
+        """Each query's hits in rank order; the tuples are shared, not copied."""
         return dict(self._by_query)
-
-    @property
-    def entries(self) -> list[RunEntry]:
-        return [e for items in self._by_query.values() for e in items]
 
     def __len__(self) -> int:
         return sum(len(v) for v in self._by_query.values())
@@ -72,7 +64,7 @@ class RunList:
     def __eq__(self, other) -> bool:
         if not isinstance(other, RunList):
             return NotImplemented
-        return self._by_query == other._by_query
+        return self.tag == other.tag and self._by_query == other._by_query
 
 
 @dataclass
@@ -153,17 +145,6 @@ def prf_retrieve(
     return _search(index, q2, k, counters)
 
 
-def results_to_run(
-    per_query: Sequence[tuple[str, Sequence[SearchResult]]], tag: str
-) -> RunList:
-    entries = [
-        RunEntry(qid, r.doc_id, r.rank, r.score, tag)
-        for qid, results in per_query
-        for r in results
-    ]
-    return RunList(entries)
-
-
 def encode_corpus(
     texts: Mapping[str, str], vocab: Vocab, params: EncoderParams, policy: CasePolicy
 ) -> VectorIndex:
@@ -180,11 +161,10 @@ def search_run(
     index: VectorIndex, k: int, policy: CasePolicy,
 ) -> RunList:
     """First-round run of every query, tagged ``base``."""
-    per_query = [
-        (qid, first_round(text, vocab, params, index, k, policy))
-        for qid, text in queries
-    ]
-    return results_to_run(per_query, tag="base")
+    return RunList(
+        {qid: first_round(text, vocab, params, index, k, policy) for qid, text in queries},
+        tag="base",
+    )
 
 
 def search_prf_run(
@@ -194,12 +174,12 @@ def search_prf_run(
     counters: RetrievalCounters | None = None,
 ) -> RunList:
     """Feedback run of every query, tagged ``prf<depth>``."""
-    per_query = [
-        (qid, prf_retrieve(text, vocab, base_params, prf_params, index, corpus_texts,
-                           depth, template, k, policy, counters))
+    by_query = {
+        qid: prf_retrieve(text, vocab, base_params, prf_params, index, corpus_texts,
+                          depth, template, k, policy, counters)
         for qid, text in queries
-    ]
-    return results_to_run(per_query, tag=f"prf{depth.k}")
+    }
+    return RunList(by_query, tag=f"prf{depth.k}")
 
 
 # -- file formats ------------------------------------------------------------
@@ -207,21 +187,23 @@ def search_prf_run(
 
 def write_run(run: RunList, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        for e in run.entries:
-            fh.write(
-                f"{e.query_id} Q0 {e.doc_id} {e.rank} {e.score:.6f} {e.tag}\n"
-            )
+        for qid, hits in run.by_query().items():
+            for h in hits:
+                fh.write(f"{qid} Q0 {h.doc_id} {h.rank} {h.score:.6f} {run.tag}\n")
 
 
 def read_run(path) -> RunList:
-    entries = []
-    names: dict[str, str] = {}  # one string object per distinct query id and tag
+    """Group rows by query; rows may come in any order, but share one tag."""
+    by_query: dict[str, list[SearchResult]] = {}
+    tag = None
     with open(path, "r", encoding="utf-8") as fh:
         for n, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             cols = line.split()
-            if len(cols) != 6 or cols[1] != "Q0":
+            if tag is None and len(cols) == 6:
+                tag = cols[5]  # the first row's tag is the run's
+            if len(cols) != 6 or cols[1] != "Q0" or cols[5] != tag:
                 raise ValueError(f"malformed run line {n}")
             try:
                 rank = int(cols[3])
@@ -231,9 +213,8 @@ def read_run(path) -> RunList:
             # nan compares False, so it would slip past the score-order check.
             if not math.isfinite(score):
                 raise ValueError(f"malformed run line {n}")
-            entries.append(RunEntry(names.setdefault(cols[0], cols[0]), cols[2],
-                                    rank, score, names.setdefault(cols[5], cols[5])))
-    return RunList(entries)
+            by_query.setdefault(cols[0], []).append(SearchResult(cols[2], score, rank))
+    return RunList(by_query, tag or "")
 
 
 def read_corpus_tsv(path) -> dict[str, str]:

@@ -11,7 +11,8 @@ import numpy as np
 
 from denseprf.encoder import encode, nce_terms
 from denseprf.evaluator import Qrels
-from denseprf.pipeline import RunEntry, RunList
+from denseprf.index import SearchResult
+from denseprf.pipeline import RunList
 
 
 def random_eval_instance(rng: np.random.Generator):
@@ -20,7 +21,7 @@ def random_eval_instance(rng: np.random.Generator):
     doc_ids = [f"d{i}" for i in range(n_docs)]
     qids = [f"q{i}" for i in range(n_queries)]
 
-    entries = []
+    hits: dict[str, list[SearchResult]] = {}
     run_dict: dict[str, list[str]] = {}
     for qid in qids:
         depth = int(rng.integers(1, n_docs + 1))
@@ -28,8 +29,10 @@ def random_eval_instance(rng: np.random.Generator):
         docs = [doc_ids[j] for j in picks]
         run_dict[qid] = docs
         scores = np.sort(rng.normal(size=depth))[::-1]
-        for rank, (d, s) in enumerate(zip(docs, scores), start=1):
-            entries.append(RunEntry(qid, d, rank, float(s), "x"))
+        hits[qid] = [
+            SearchResult(d, float(s), rank)
+            for rank, (d, s) in enumerate(zip(docs, scores), start=1)
+        ]
 
     triples = []
     qrels_dict: dict[tuple[str, str], int] = {}
@@ -41,7 +44,7 @@ def random_eval_instance(rng: np.random.Generator):
             triples.append((qid, doc_ids[j], grade))
             qrels_dict[(qid, doc_ids[j])] = grade
 
-    return RunList(entries), run_dict, Qrels.from_triples(triples), qrels_dict
+    return RunList(hits, "x"), run_dict, Qrels.from_triples(triples), qrels_dict
 
 
 def batch_loss(params, batch) -> float:

@@ -11,6 +11,7 @@ Run standalone with:  pytest tests/test_acceptance.py -v
 
 from __future__ import annotations
 
+import hashlib
 import math
 import time
 from contextlib import contextmanager
@@ -31,8 +32,8 @@ from denseprf.encoder import (
     param_layout,
 )
 from denseprf.evaluator import mrr_at_k, ndcg_at_k, paired_t_test, recall_at_k
-from denseprf.index import VectorIndex
-from denseprf.pipeline import RunEntry, RunList
+from denseprf.index import SearchResult, VectorIndex
+from denseprf.pipeline import RunList, write_run
 from denseprf.synth import (
     ExperimentConfig,
     SynthConfig,
@@ -133,11 +134,11 @@ def test_c02_recall_binarization_matches_hand_counts(acceptance_lines):
     with criterion(acceptance_lines, 2, "recall binarization threshold") as info:
         from denseprf.evaluator import Qrels
 
-        entries = []
-        for qid, docs in (("q1", ["dB", "dD", "dA"]), ("q2", ["dE"])):
-            for rank, doc in enumerate(docs, start=1):
-                entries.append(RunEntry(qid, doc, rank, float(10 - rank), "x"))
-        run = RunList(entries)
+        run = RunList({
+            qid: [SearchResult(doc, float(10 - rank), rank)
+                  for rank, doc in enumerate(docs, start=1)]
+            for qid, docs in (("q1", ["dB", "dD", "dA"]), ("q2", ["dE"]))
+        }, "x")
         qrels = Qrels.from_triples([
             ("q1", "dA", 2), ("q1", "dB", 1), ("q1", "dC", 2), ("q1", "dD", 1),
             ("q2", "dE", 1), ("q2", "dF", 2),
@@ -428,3 +429,21 @@ def test_c12_two_encodes_two_searches_per_query(acceptance_lines, experiment):
             f"{result.counters.encode_calls} encodes,"
             f" {result.counters.search_calls} searches for {n_queries} queries"
         )
+
+
+# -- golden run digests (not a criterion) --------------------------------------------
+
+
+def test_seed0_run_files_match_golden_digests(experiment, tmp_path):
+    # blake2b-128 of the seed-0 run files: any change to retrieval, scoring,
+    # tie-breaking or the run format moves these bytes.
+    result, _ = experiment
+    digests = {}
+    for name in ("round1_run", "prf_run"):
+        path = tmp_path / f"{name}.run"
+        write_run(getattr(result, name), path)
+        digests[name] = hashlib.blake2b(path.read_bytes(), digest_size=16).hexdigest()
+    assert digests == {
+        "round1_run": "7f2961fffa9e72f67259f614264eae2e",
+        "prf_run": "c2ac9b5c78a888a28caf09281742adae",
+    }

@@ -100,7 +100,7 @@ def test_full_workflow(ws, capsys):
     ]) == 0
     run = read_run(ws / "base.run")
     assert set(run.by_query()) == set(QUERIES)
-    assert all(e.tag == "base" for e in run.entries)
+    assert run.tag == "base"
 
     assert main([
         "train", "--vocab", p(ws, "vocab.txt"), "--params", p(ws, "base.enc"),
@@ -124,7 +124,7 @@ def test_full_workflow(ws, capsys):
         "--run", p(ws, "prf.run"), "--topk", "8", "--prf-depth", "2",
     ]) == 0
     prf_run = read_run(ws / "prf.run")
-    assert all(e.tag == "prf2" for e in prf_run.entries)
+    assert prf_run.tag == "prf2"
     capsys.readouterr()
 
     assert main([
@@ -208,14 +208,14 @@ def test_config_file_with_flag_overrides(ws):
     cfg_path.write_text(json.dumps(config))
     assert main(["search", "--config", str(cfg_path)]) == 0
     run = read_run(ws / "from_config.run")
-    assert max(e.rank for e in run.entries) == 3
+    assert max(h.rank for hits in run.by_query().values() for h in hits) == 3
 
     assert main([
         "search", "--config", str(cfg_path), "--topk", "2",
         "--run", p(ws, "override.run"),
     ]) == 0
     run = read_run(ws / "override.run")
-    assert max(e.rank for e in run.entries) == 2
+    assert max(h.rank for hits in run.by_query().values() for h in hits) == 2
 
 
 def test_missing_file_exits_2(ws, capsys):
@@ -286,7 +286,8 @@ def test_search_topk_below_default_prf_depth(ws):
         "--index", p(ws, "docs.idx"), "--queries", p(ws, "queries.tsv"),
         "--run", p(ws, "base.run"), "--topk", "2",
     ]) == 0
-    assert max(e.rank for e in read_run(ws / "base.run").entries) == 2
+    run = read_run(ws / "base.run")
+    assert max(h.rank for hits in run.by_query().values() for h in hits) == 2
 
 
 def test_whitespace_in_ids_exits_2(ws, capsys):

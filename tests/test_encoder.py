@@ -1,6 +1,7 @@
 import hashlib
 import math
 import struct
+import time
 import tracemalloc
 
 import numpy as np
@@ -382,6 +383,36 @@ def test_load_checks_size_before_allocating(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000
+
+
+@pytest.mark.parametrize("layers", [20_000, 2**31 - 1])
+def test_load_rejects_huge_layer_count_in_constant_cost(tmp_path, layers):
+    # A 27-byte file whose header claims a huge layer count must be rejected
+    # without building a per-layer layout first.
+    path = tmp_path / "layers.bin"
+    path.write_bytes(PARAMS_MAGIC + struct.pack("<5i", 8, layers, 2, 8, 10))
+    tracemalloc.start()
+    t0 = time.perf_counter()
+    try:
+        with pytest.raises(ValueError, match="corrupt params file"):
+            load_params(path)
+        secs = time.perf_counter() - t0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert secs < 0.5
+    assert peak < 1_000_000
+
+
+@pytest.mark.parametrize("dim,heads,layers,vocab,max_len", [
+    (8, 2, 1, 12, 12), (16, 4, 3, 50, 64), (48, 4, 2, 3000, 128), (6, 3, 5, 1, 8),
+])
+def test_param_count_closed_form_equals_layout_end(dim, heads, layers, vocab, max_len):
+    cfg = EncoderConfig(
+        vocab_size=vocab, dim=dim, layers=layers, heads=heads, max_len=max_len
+    )
+    _, offset, shape = param_layout(cfg)[-1]
+    assert param_count(cfg) == offset + math.prod(shape)
 
 
 def _file_digest(params, path):

@@ -13,7 +13,8 @@ from denseprf.evaluator import (
     regularized_incomplete_beta,
     student_t_two_sided_p,
 )
-from denseprf.pipeline import RunEntry, RunList
+from denseprf.index import SearchResult
+from denseprf.pipeline import RunList, read_run, write_run
 
 from instances import random_eval_instance
 from oracles import _positives, oracle_mrr, oracle_ndcg, oracle_recall
@@ -21,11 +22,11 @@ from oracles import _positives, oracle_mrr, oracle_ndcg, oracle_recall
 
 def run_of(**per_query):
     """run_of(q1=["d1", "d2"], ...) with descending synthetic scores."""
-    entries = []
-    for qid, docs in per_query.items():
-        for rank, doc in enumerate(docs, start=1):
-            entries.append(RunEntry(qid, doc, rank, float(100 - rank), "t"))
-    return RunList(entries)
+    return RunList({
+        qid: [SearchResult(doc, float(100 - rank), rank)
+              for rank, doc in enumerate(docs, start=1)]
+        for qid, docs in per_query.items()
+    }, "t")
 
 
 # -- qrels ---------------------------------------------------------------------
@@ -91,6 +92,28 @@ def test_judgments_walked_a_constant_number_of_times():
                recall_at_k(run, qrels, 10)]
     assert all(len(r.per_query) > 40 for r in reports)
     assert judgments.walks <= 3
+
+
+def test_qrels_unaffected_by_later_changes_to_its_input():
+    rng = np.random.default_rng(23)
+    judgments = {
+        (f"q{q}", f"d{d}"): int(rng.integers(0, 4)) for q in range(5) for d in range(8)
+    }
+    before = dict(judgments)
+    qrels = Qrels(judgments)
+    for key in list(judgments)[::3]:
+        judgments[key] = 3 - judgments[key]
+    del judgments[("q1", "d1")]
+    judgments[("q9", "d0")] = 2
+    for qid in ("q0", "q1", "q2", "q3", "q4", "q9"):
+        for threshold in (1, 2, 3):
+            assert qrels.positives(qid, threshold) == _positives(before, qid, threshold)
+    for (qid, did), grade in before.items():
+        assert qrels.grade(qid, did) == grade
+    assert qrels.grade("q9", "d0") == 0
+    assert qrels.judgments == before
+    with pytest.raises(TypeError):
+        qrels.judgments[("q0", "d0")] = 1
 
 
 def test_qrels_validation():
@@ -245,12 +268,15 @@ def test_metric_k_validation():
 # -- invariants -----------------------------------------------------------------------
 
 
-def test_metrics_permutation_invariant():
+def test_metrics_permutation_invariant(tmp_path):
     rng = np.random.default_rng(0)
     run, _, qrels, _ = random_eval_instance(rng)
-    entries = list(run.entries)
-    rng.shuffle(entries)
-    shuffled = RunList(entries)
+    path = tmp_path / "run.txt"
+    write_run(run, path)
+    rows = path.read_text().splitlines(keepends=True)
+    rng.shuffle(rows)
+    path.write_text("".join(rows))
+    shuffled = read_run(path)
     assert mrr_at_k(run, qrels, 10).per_query == mrr_at_k(shuffled, qrels, 10).per_query
     assert ndcg_at_k(run, qrels, 10).per_query == ndcg_at_k(shuffled, qrels, 10).per_query
 
@@ -260,7 +286,7 @@ def test_metrics_truncation_consistent():
     for _ in range(20):
         run, _, qrels, qdict = random_eval_instance(rng)
         k = int(rng.integers(1, 8))
-        cut = RunList(e for e in run.entries if e.rank <= k)
+        cut = RunList({q: hits[:k] for q, hits in run.by_query().items()}, run.tag)
         thr = 2 if any(g > 1 for g in qdict.values()) else 1
         assert mrr_at_k(run, qrels, k).per_query == mrr_at_k(cut, qrels, k).per_query
         assert ndcg_at_k(run, qrels, k).per_query == ndcg_at_k(cut, qrels, k).per_query

@@ -3,17 +3,15 @@ import pytest
 
 from denseprf.composer import PrfDepth, PrfTemplate, TemplateKind, document_sequence
 from denseprf.encoder import encode, init_params
-from denseprf.index import VectorIndex
+from denseprf.index import SearchResult, VectorIndex
 from denseprf.pipeline import (
     RetrievalCounters,
-    RunEntry,
     RunList,
     first_round,
     prf_retrieve,
     read_corpus_tsv,
     read_queries_tsv,
     read_run,
-    results_to_run,
     write_run,
 )
 from denseprf.tokenizer import CasePolicy, tokenize
@@ -33,24 +31,22 @@ def corpus_index(mixed_corpus, mixed_vocab, tiny_params):
 # -- run list ------------------------------------------------------------------
 
 
-def entry(qid, did, rank, score, tag="t"):
-    return RunEntry(qid, did, rank, score, tag)
+def hit(did, rank, score):
+    return SearchResult(did, score, rank)
 
 
 def test_runlist_accepts_permuted_entries():
-    entries = [
-        entry("q2", "a", 1, 9.0),
-        entry("q1", "b", 2, 1.0),
-        entry("q1", "a", 1, 2.0),
-    ]
-    run = RunList(entries)
-    assert list(run.by_query()) == ["q2", "q1"]  # first-appearance order
+    run = RunList({
+        "q2": [hit("a", 1, 9.0)],
+        "q1": [hit("b", 2, 1.0), hit("a", 1, 2.0)],
+    }, "t")
+    assert list(run.by_query()) == ["q2", "q1"]  # the mapping's order
     assert [e.doc_id for e in run.by_query()["q1"]] == ["a", "b"]
     assert len(run) == 3
 
 
 def test_runlist_by_query_shares_immutable_entries():
-    run = RunList([entry("q1", "a", 1, 2.0), entry("q1", "b", 2, 1.0)])
+    run = RunList({"q1": [hit("a", 1, 2.0), hit("b", 2, 1.0)]}, "t")
     first = run.by_query()
     assert isinstance(first["q1"], tuple)
     assert run.by_query()["q1"] is first["q1"]  # shared, not copied
@@ -60,50 +56,43 @@ def test_runlist_by_query_shares_immutable_entries():
 
 def test_runlist_rejects_duplicates():
     with pytest.raises(ValueError, match="duplicate run entry: q1 a"):
-        RunList([entry("q1", "a", 1, 2.0), entry("q1", "a", 2, 1.0)])
+        RunList({"q1": [hit("a", 1, 2.0), hit("a", 2, 1.0)]}, "t")
 
 
 def test_runlist_rejects_rank_gaps():
     with pytest.raises(ValueError, match="ranks not contiguous for query q1"):
-        RunList([entry("q1", "a", 1, 2.0), entry("q1", "b", 3, 1.0)])
+        RunList({"q1": [hit("a", 1, 2.0), hit("b", 3, 1.0)]}, "t")
     with pytest.raises(ValueError, match="ranks not contiguous for query q1"):
-        RunList([entry("q1", "a", 2, 2.0)])
+        RunList({"q1": [hit("a", 2, 2.0)]}, "t")
     with pytest.raises(ValueError, match="ranks not contiguous for query q1"):
-        RunList([entry("q1", "a", 1, 2.0), entry("q1", "b", 1, 1.0)])
+        RunList({"q1": [hit("a", 1, 2.0), hit("b", 1, 1.0)]}, "t")
 
 
 def test_runlist_rejects_increasing_scores():
     with pytest.raises(ValueError, match="scores increase for query q1"):
-        RunList([entry("q1", "a", 1, 1.0), entry("q1", "b", 2, 2.0)])
+        RunList({"q1": [hit("a", 1, 1.0), hit("b", 2, 2.0)]}, "t")
     # ties are fine
-    RunList([entry("q1", "a", 1, 1.0), entry("q1", "b", 2, 1.0)])
+    RunList({"q1": [hit("a", 1, 1.0), hit("b", 2, 1.0)]}, "t")
 
 
 def test_runlist_equality():
-    a = RunList([entry("q1", "a", 1, 2.0), entry("q1", "b", 2, 1.0)])
-    b = RunList([entry("q1", "b", 2, 1.0), entry("q1", "a", 1, 2.0)])
-    c = RunList([entry("q1", "a", 1, 2.0)])
+    a = RunList({"q1": [hit("a", 1, 2.0), hit("b", 2, 1.0)]}, "t")
+    b = RunList({"q1": [hit("b", 2, 1.0), hit("a", 1, 2.0)]}, "t")
+    c = RunList({"q1": [hit("a", 1, 2.0)]}, "t")
     assert a == b
     assert a != c
     assert a != 42
-
-
-def test_results_to_run_applies_tag(corpus_index, rng):
-    results = corpus_index.search(rng.normal(size=16), k=3)
-    run = results_to_run([("q1", results)], tag="myrun")
-    assert all(e.tag == "myrun" for e in run.entries)
-    assert [e.rank for e in run.entries] == [1, 2, 3]
+    assert a != RunList({"q1": [hit("a", 1, 2.0), hit("b", 2, 1.0)]}, "other")
 
 
 # -- run file io -----------------------------------------------------------------
 
 
 def test_run_file_round_trip(tmp_path):
-    run = RunList([
-        entry("q1", "docA", 1, 3.25, "base"),
-        entry("q1", "docB", 2, -0.5, "base"),
-        entry("q2", "docC", 1, 1.0 / 3.0, "base"),
-    ])
+    run = RunList({
+        "q1": [hit("docA", 1, 3.25), hit("docB", 2, -0.5)],
+        "q2": [hit("docC", 1, 1.0 / 3.0)],
+    }, "base")
     path = tmp_path / "run.txt"
     write_run(run, path)
     lines = path.read_text().splitlines()
@@ -111,16 +100,18 @@ def test_run_file_round_trip(tmp_path):
     assert lines[1] == "q1 Q0 docB 2 -0.500000 base"
     assert lines[2] == "q2 Q0 docC 1 0.333333 base"
     loaded = read_run(path)
-    assert [e.doc_id for e in loaded.entries] == ["docA", "docB", "docC"]
-    assert loaded.entries[2].score == pytest.approx(0.333333)
+    assert loaded.tag == "base"
+    assert [h.doc_id for hits in loaded.by_query().values() for h in hits] == [
+        "docA", "docB", "docC"
+    ]
+    assert loaded.by_query()["q2"][0].score == pytest.approx(0.333333)
 
 
-def test_read_run_shares_query_id_and_tag_strings(tmp_path):
+def test_read_run_rejects_a_second_tag(tmp_path):
     path = tmp_path / "run.txt"
-    path.write_text("q1 Q0 a 1 2.0 base\nq1 Q0 b 2 1.0 base\nq2 Q0 a 1 1.0 base\n")
-    q1a, q1b, q2a = read_run(path).entries
-    assert q1a.query_id is q1b.query_id
-    assert q1a.tag is q1b.tag is q2a.tag
+    path.write_text("q1 Q0 a 1 2.0 base\nq2 Q0 a 1 1.0 base\nq1 Q0 b 2 1.0 prf3\n")
+    with pytest.raises(ValueError, match="malformed run line 3"):
+        read_run(path)
 
 
 def test_read_run_reports_line_numbers(tmp_path):
