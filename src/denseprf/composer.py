@@ -82,7 +82,7 @@ def compose(
             ids.append(Vocab.sep_id)
         ids = ids[:max_len]
 
-    return TokenSequence(ids=tuple(ids), policy_used=query.policy_used)
+    return TokenSequence(tuple(ids))
 
 
 def first_round_sequence(query: TokenSequence, max_len: int = 512) -> TokenSequence:
@@ -90,11 +90,11 @@ def first_round_sequence(query: TokenSequence, max_len: int = 512) -> TokenSeque
     ids = [Vocab.bos_id, *query.ids, Vocab.sep_id]
     if len(ids) > max_len:
         raise ValueError("query too long")
-    return TokenSequence(ids=tuple(ids), policy_used=query.policy_used)
+    return TokenSequence(tuple(ids))
 
 
 def document_sequence(doc: TokenSequence, max_len: int = 512) -> TokenSequence:
     """Wrap document tokens as BOS d SEP, truncating the tail to fit."""
     body = doc.ids[: max_len - 2]
     ids = (Vocab.bos_id, *body, Vocab.sep_id)
-    return TokenSequence(ids=ids, policy_used=doc.policy_used)
+    return TokenSequence(ids)

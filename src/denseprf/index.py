@@ -4,8 +4,9 @@ Vectors are quantized to float32 at build time (the on-disk precision) and
 scored in float64.  Search scans every row exhaustively, then selects
 partially: a partition finds the k-th best score and only the rows at or
 above it are sorted.  Ties break by doc_id ascending, exactly as a full sort
-would order them.  A 64-bit digest over the canonical byte layout guards both
-the file format and the shared-between-rounds immutability contract.
+would order them.  The stored arrays are read-only, so the index both rounds
+search cannot change, and doc ids are unique whether built or loaded.  A
+64-bit digest over the canonical byte layout guards the file format.
 """
 
 from __future__ import annotations
@@ -32,17 +33,23 @@ class VectorIndex:
         if vectors32.ndim != 2 or len(doc_ids) != vectors32.shape[0]:
             raise ValueError("ids and vectors disagree")
         self._ids = list(doc_ids)
+        self._row_of: dict[str, int] = {}
+        for i, d in enumerate(self._ids):
+            if self._row_of.setdefault(d, i) != i:
+                raise ValueError(f"duplicate doc_id {d}")
         self._ids_arr = np.asarray(self._ids)
-        self._vec32 = np.ascontiguousarray(vectors32, dtype="<f4")
+        # Read-only views: nothing handed out can change what search scores
+        # or what the checksum covers, and the caller's array stays writable.
+        self._vec32 = np.ascontiguousarray(vectors32, dtype="<f4").view()
         self._vec64 = self._vec32.astype(np.float64)
-        self._row_of = {d: i for i, d in enumerate(self._ids)}
+        self._vec32.flags.writeable = False
+        self._vec64.flags.writeable = False
         self._checksum = self._digest()
 
     @classmethod
     def build(cls, pairs: Iterable[tuple[str, np.ndarray]]) -> "VectorIndex":
         ids: list[str] = []
         vecs: list[np.ndarray] = []
-        seen: set[str] = set()
         dim = None
         for doc_id, vec in pairs:
             vec = np.asarray(vec, dtype=np.float64)
@@ -52,9 +59,6 @@ class VectorIndex:
                 dim = vec.shape[0]
             elif vec.shape[0] != dim:
                 raise ValueError(f"dimension mismatch for doc_id {doc_id}")
-            if doc_id in seen:
-                raise ValueError(f"duplicate doc_id {doc_id}")
-            seen.add(doc_id)
             ids.append(doc_id)
             vecs.append(vec.astype("<f4"))
         if not ids:
@@ -83,7 +87,7 @@ class VectorIndex:
         return self._checksum
 
     def vector(self, doc_id: str) -> np.ndarray:
-        """Float64 view of one stored embedding (KeyError if absent)."""
+        """Read-only float64 view of one stored embedding (KeyError if absent)."""
         return self._vec64[self._row_of[doc_id]]
 
     def search(self, q: np.ndarray, k: int) -> list[SearchResult]:

@@ -3,10 +3,10 @@
 Round one encodes the bare query with the base encoder and searches the
 index.  Round two concatenates the query with the text of the top feedback
 documents, encodes that with the feedback encoder, and searches the SAME
-index again — document embeddings are never touched between rounds.  One
-casing policy governs query and feedback text alike.  ``encode_corpus``,
-``search_run`` and ``search_prf_run`` are the corpus and query-list stages
-that the CLI and the synthetic experiment share.
+index again; its arrays are read-only, so no document embedding can change
+between rounds.  One casing policy governs query and feedback text alike.
+``encode_corpus``, ``search_run`` and ``search_prf_run`` are the corpus and
+query-list stages that the CLI and the synthetic experiment share.
 
 A ranking has one shape from index to run file: ``VectorIndex.search``
 returns ``SearchResult`` hits, and a ``RunList`` keeps each query's hits in
@@ -17,7 +17,6 @@ move it to and from the TREC run format.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .composer import (
@@ -67,26 +66,6 @@ class RunList:
         return self.tag == other.tag and self._by_query == other._by_query
 
 
-@dataclass
-class RetrievalCounters:
-    """Instrumentation: feedback retrieval costs exactly 2 of each."""
-
-    encode_calls: int = 0
-    search_calls: int = 0
-
-
-def _encode(params, tokens, counters):
-    if counters is not None:
-        counters.encode_calls += 1
-    return encode(params, tokens)
-
-
-def _search(index, q, k, counters):
-    if counters is not None:
-        counters.search_calls += 1
-    return index.search(q, k)
-
-
 def first_round(
     query_text: str,
     vocab: Vocab,
@@ -94,12 +73,10 @@ def first_round(
     index: VectorIndex,
     k: int,
     policy: CasePolicy,
-    counters: RetrievalCounters | None = None,
 ) -> list[SearchResult]:
     query = tokenize(query_text, vocab, policy)
     seq = first_round_sequence(query, base_params.config.max_len)
-    q = _encode(base_params, seq, counters)
-    return _search(index, q, k, counters)
+    return index.search(encode(base_params, seq), k)
 
 
 def feedback_sequence(
@@ -132,17 +109,15 @@ def prf_retrieve(
     template: PrfTemplate,
     k: int,
     policy: CasePolicy,
-    counters: RetrievalCounters | None = None,
 ) -> list[SearchResult]:
     """Two-round retrieval; feedback docs are the top depth.k of round one."""
     if depth.k > k:
         raise ValueError("feedback depth exceeds k")
-    round1 = first_round(query_text, vocab, base_params, index, k, policy, counters)
+    round1 = first_round(query_text, vocab, base_params, index, k, policy)
     composed = feedback_sequence(
         query_text, round1, vocab, corpus_texts, depth, template, policy
     )
-    q2 = _encode(prf_params, composed, counters)
-    return _search(index, q2, k, counters)
+    return index.search(encode(prf_params, composed), k)
 
 
 def encode_corpus(
@@ -171,12 +146,11 @@ def search_prf_run(
     queries: Sequence[tuple[str, str]], vocab: Vocab, base_params: EncoderParams,
     prf_params: EncoderParams, index: VectorIndex, corpus_texts: Mapping[str, str],
     depth: PrfDepth, template: PrfTemplate, k: int, policy: CasePolicy,
-    counters: RetrievalCounters | None = None,
 ) -> RunList:
     """Feedback run of every query, tagged ``prf<depth>``."""
     by_query = {
         qid: prf_retrieve(text, vocab, base_params, prf_params, index, corpus_texts,
-                          depth, template, k, policy, counters)
+                          depth, template, k, policy)
         for qid, text in queries
     }
     return RunList(by_query, tag=f"prf{depth.k}")

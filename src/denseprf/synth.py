@@ -32,7 +32,6 @@ from .encoder import EncoderConfig, EncoderParams, init_params, init_prf_encoder
 from .evaluator import Qrels, mrr_at_k
 from .index import VectorIndex
 from .pipeline import (
-    RetrievalCounters,
     RunList,
     encode_corpus,
     search_prf_run,
@@ -272,9 +271,6 @@ class ExperimentResult:
     epoch_losses: dict[int, float]
     round1_run: RunList
     prf_run: RunList
-    checksum_before: int
-    checksum_after: int
-    counters: RetrievalCounters
     log: list[TrainLogEntry]
     prf_params: EncoderParams
 
@@ -297,15 +293,12 @@ def prepare_artifacts(exp: ExperimentConfig) -> TaskArtifacts:
 
 
 def eval_prf(
-    art: TaskArtifacts,
-    exp: ExperimentConfig,
-    prf_params: EncoderParams,
-    counters: RetrievalCounters | None = None,
+    art: TaskArtifacts, exp: ExperimentConfig, prf_params: EncoderParams
 ) -> RunList:
     return search_prf_run(
         art.task.eval_queries, art.vocab, art.base, prf_params, art.index,
         art.task.corpus, PrfDepth(exp.prf_depth),
-        PrfTemplate(exp.template, max_len=exp.max_len), exp.topk, exp.case, counters,
+        PrfTemplate(exp.template, max_len=exp.max_len), exp.topk, exp.case,
     )
 
 
@@ -318,9 +311,8 @@ def run_experiment(exp: ExperimentConfig, art: TaskArtifacts) -> ExperimentResul
 
     ``art`` is ``prepare_artifacts(exp)``.  The step-0 readout searches the
     composed queries with the untrained feedback encoder and with the base
-    encoder; ``counters`` covers the trained feedback round alone.
+    encoder.
     """
-    checksum_before = art.index.checksum
     round1_run = search_run(
         art.task.eval_queries, art.vocab, art.base, art.index, exp.topk, exp.case
     )
@@ -333,8 +325,7 @@ def run_experiment(exp: ExperimentConfig, art: TaskArtifacts) -> ExperimentResul
         PrfDepth(exp.prf_depth), PrfTemplate(exp.template, max_len=exp.max_len),
         exp.train, negatives_seed=derive_seed(exp.seed, 2),
     )
-    counters = RetrievalCounters()
-    prf_run = eval_prf(art, exp, prf_params, counters)
+    prf_run = eval_prf(art, exp, prf_params)
     k = exp.topk if exp.topk <= 10 else 10
 
     def mrr(run: RunList) -> float:
@@ -348,9 +339,6 @@ def run_experiment(exp: ExperimentConfig, art: TaskArtifacts) -> ExperimentResul
         epoch_losses=epoch_mean_losses(log),
         round1_run=round1_run,
         prf_run=prf_run,
-        checksum_before=checksum_before,
-        checksum_after=art.index.checksum,
-        counters=counters,
         log=log,
         prf_params=prf_params,
     )

@@ -98,10 +98,9 @@ class Vocab:
 
 @dataclass(frozen=True)
 class TokenSequence:
-    """Ordered token ids plus the casing policy they were produced under."""
+    """Ordered token ids, as the encoder reads them."""
 
     ids: tuple[int, ...]
-    policy_used: CasePolicy
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -134,4 +133,4 @@ def tokenize(text: str, vocab: Vocab, policy: CasePolicy) -> TokenSequence:
     if policy is CasePolicy.LOWERCASE:
         text = text.lower()
     ids = tuple(vocab.id_of(tok) for tok in split_text(text))
-    return TokenSequence(ids=ids, policy_used=policy)
+    return TokenSequence(ids)

@@ -1,4 +1,5 @@
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +8,9 @@ import pytest
 # Make sibling test helpers (oracles.py) importable regardless of rootdir.
 sys.path.insert(0, str(Path(__file__).parent))
 
+from denseprf import pipeline
 from denseprf.encoder import EncoderConfig, init_params
+from denseprf.index import VectorIndex
 from denseprf.tokenizer import build_vocab
 
 
@@ -27,6 +30,29 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in sorted(lines):
             terminalreporter.write_line(line)
+
+
+@pytest.fixture()
+def retrieval_calls(monkeypatch):
+    """Counts of query encodes and index searches, observed from outside.
+
+    Wraps ``pipeline.encode`` (the query encoder both rounds call) and
+    ``VectorIndex.search``; corpus encoding outside ``pipeline`` is not seen.
+    """
+    calls = Counter()
+    real_encode, real_search = pipeline.encode, VectorIndex.search
+
+    def counting_encode(*args, **kwargs):
+        calls["encode"] += 1
+        return real_encode(*args, **kwargs)
+
+    def counting_search(*args, **kwargs):
+        calls["search"] += 1
+        return real_search(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "encode", counting_encode)
+    monkeypatch.setattr(VectorIndex, "search", counting_search)
+    return calls
 
 
 MIXED_CORPUS = {

@@ -1,6 +1,8 @@
+import hashlib
 import json
 import os
 import platform
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +13,7 @@ import pytest
 import denseprf
 from denseprf.cli import main
 from denseprf.encoder import EncoderConfig, init_params, load_params, save_params
-from denseprf.index import VectorIndex
+from denseprf.index import INDEX_MAGIC, VectorIndex
 from denseprf.pipeline import read_run, write_run
 from denseprf.synth import (
     ExperimentConfig,
@@ -306,6 +308,22 @@ def test_whitespace_in_ids_exits_2(ws, capsys):
         "--run", p(ws, "bad.run"),
     ]) == 2
     assert "malformed queries line 2" in capsys.readouterr().err
+
+
+def test_duplicate_doc_id_index_exits_2(ws, capsys):
+    # A resealed index whose d2 row is renamed d1 passes the digest check.
+    build_base(ws)
+    path = ws / "docs.idx"
+    id_len = struct.pack("<i", 2)
+    payload = path.read_bytes()[len(INDEX_MAGIC):-8].replace(id_len + b"d2", id_len + b"d1")
+    digest = hashlib.blake2b(payload, digest_size=8).digest()
+    path.write_bytes(INDEX_MAGIC + payload + digest)
+    assert main([
+        "search", "--vocab", p(ws, "vocab.txt"), "--params", p(ws, "base.enc"),
+        "--index", p(ws, "docs.idx"), "--queries", p(ws, "queries.tsv"),
+        "--run", p(ws, "out.run"), "--topk", "1",
+    ]) == 2
+    assert "duplicate doc_id d1" in capsys.readouterr().err
 
 
 def test_unknown_train_key_exits_2(ws, capsys):

@@ -10,14 +10,14 @@ from denseprf.composer import (
     document_sequence,
     first_round_sequence,
 )
-from denseprf.tokenizer import CasePolicy, TokenSequence, Vocab
+from denseprf.tokenizer import TokenSequence, Vocab
 
 BOS, SEP, MASK, Q = Vocab.bos_id, Vocab.sep_id, Vocab.mask_id, Vocab.q_mark_id
 FIRST_REGULAR = 7  # ids below this are specials
 
 
 def seq(*ids):
-    return TokenSequence(ids=tuple(ids), policy_used=CasePolicy.PRESERVE)
+    return TokenSequence(ids=tuple(ids))
 
 
 def ids_range(start, n):
@@ -108,14 +108,6 @@ def test_prefix_extension_across_depths():
     prev = compose(query, docs, template, PrfDepth(2))
     cur = compose(query, docs, template, PrfDepth(3))
     assert cur.ids[: len(prev.ids)] == prev.ids
-
-
-def test_policy_propagates():
-    query = TokenSequence(ids=(10, 11), policy_used=CasePolicy.LOWERCASE)
-    out = compose(
-        query, [seq(20)], PrfTemplate(TemplateKind.ANCE, max_len=32), PrfDepth(1)
-    )
-    assert out.policy_used is CasePolicy.LOWERCASE
 
 
 def test_depth_bounds():

@@ -23,14 +23,14 @@ from denseprf.encoder import (
     save_params,
     _gelu_fwd,
 )
-from denseprf.tokenizer import CasePolicy, TokenSequence
+from denseprf.tokenizer import TokenSequence
 
 from instances import batch_loss
 from oracles import forward_oracle, nce_loss_scalar
 
 
 def seq(*ids):
-    return TokenSequence(ids=tuple(ids), policy_used=CasePolicy.PRESERVE)
+    return TokenSequence(ids=tuple(ids))
 
 
 def small_params(dim=8, heads=2, layers=1, vocab=12, max_len=12, seed=3, scale=0.3):

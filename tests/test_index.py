@@ -52,6 +52,18 @@ def test_vector_round_trips_float32():
         index.vector("nope")
 
 
+def test_stored_vectors_refuse_writes():
+    rng = np.random.default_rng(1)
+    _, _, index = make_index(rng)
+    q = rng.normal(size=8)
+    before = index.search(q, k=5)
+    with pytest.raises(ValueError, match="read-only"):
+        index.vector(before[0].doc_id)[0] += 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        index.vector("d003")[:] = 0.0
+    assert index.search(q, k=5) == before
+
+
 def test_entries_preserve_insertion_order(tmp_path):
     # Rows keep build order, not doc-id order, in memory and on disk.
     rng = np.random.default_rng(2)
@@ -167,13 +179,15 @@ def test_search_validation():
         index.search(np.ones(8), k=0)
 
 
-def test_checksum_stable_across_searches():
+def test_checksum_stable_across_searches(tmp_path):
+    # ``checksum`` is cached at build; load recomputes it from the saved bytes.
     rng = np.random.default_rng(7)
     _, _, index = make_index(rng)
     before = index.checksum
     for _ in range(10):
         index.search(rng.normal(size=8), k=3)
-    assert index.checksum == before
+    index.save(tmp_path / "docs.idx")
+    assert VectorIndex.load(tmp_path / "docs.idx").checksum == before
 
 
 def test_checksum_sensitive_to_content_and_order():
@@ -299,6 +313,19 @@ def test_load_rejects_id_length_past_end(tmp_path):
     path = tmp_path / "crafted.idx"
     path.write_bytes(INDEX_MAGIC + payload + digest)
     with pytest.raises(ValueError, match="corrupt index"):
+        VectorIndex.load(path)
+
+
+def test_load_rejects_duplicate_doc_ids(tmp_path):
+    # A resealed file whose second id repeats the first: build rejects the
+    # same rows, so load must too.
+    path = tmp_path / "dup.idx"
+    VectorIndex.build([("d1", np.ones(4)), ("d2", np.arange(4.0))]).save(path)
+    id_len = struct.pack("<i", 2)
+    payload = path.read_bytes()[len(INDEX_MAGIC):-8].replace(id_len + b"d2", id_len + b"d1")
+    digest = hashlib.blake2b(payload, digest_size=8).digest()
+    path.write_bytes(INDEX_MAGIC + payload + digest)
+    with pytest.raises(ValueError, match="duplicate doc_id d1"):
         VectorIndex.load(path)
 
 

@@ -5,7 +5,6 @@ from denseprf.composer import PrfDepth, PrfTemplate, TemplateKind, document_sequ
 from denseprf.encoder import encode, init_params
 from denseprf.index import SearchResult, VectorIndex
 from denseprf.pipeline import (
-    RetrievalCounters,
     RunList,
     first_round,
     prf_retrieve,
@@ -189,30 +188,28 @@ def test_read_queries_tsv_errors(tmp_path):
 
 
 def test_first_round_counts_one_encode_one_search(
-    mixed_vocab, tiny_params, corpus_index
+    mixed_vocab, tiny_params, corpus_index, retrieval_calls
 ):
-    counters = RetrievalCounters()
     results = first_round(
         "quantum flux", mixed_vocab, tiny_params, corpus_index, 3,
-        CasePolicy.PRESERVE, counters,
+        CasePolicy.PRESERVE,
     )
-    assert counters.encode_calls == 1
-    assert counters.search_calls == 1
+    assert retrieval_calls["encode"] == 1
+    assert retrieval_calls["search"] == 1
     assert len(results) == 3
     assert [r.rank for r in results] == [1, 2, 3]
 
 
 def test_prf_retrieve_counts_two_each(
-    mixed_corpus, mixed_vocab, tiny_params, corpus_index
+    mixed_corpus, mixed_vocab, tiny_params, corpus_index, retrieval_calls
 ):
-    counters = RetrievalCounters()
     results = prf_retrieve(
         "quantum flux", mixed_vocab, tiny_params, tiny_params, corpus_index,
         mixed_corpus, PrfDepth(2), PrfTemplate(TemplateKind.ANCE, max_len=64),
-        5, CasePolicy.PRESERVE, counters,
+        5, CasePolicy.PRESERVE,
     )
-    assert counters.encode_calls == 2
-    assert counters.search_calls == 2
+    assert retrieval_calls["encode"] == 2
+    assert retrieval_calls["search"] == 2
     assert len(results) == 5
 
 
@@ -248,14 +245,16 @@ def test_prf_retrieve_missing_feedback_text(
 def test_prf_leaves_index_unchanged(
     mixed_corpus, mixed_vocab, tiny_params, corpus_index
 ):
-    before = corpus_index.checksum
-    for _ in range(3):
-        prf_retrieve(
-            "gnomes in the garden", mixed_vocab, tiny_params, tiny_params,
+    # A copy of the stored rows, taken before any feedback round.
+    before = VectorIndex.build((d, corpus_index.vector(d)) for d in mixed_corpus)
+    args = ("gnomes in the garden", mixed_vocab, tiny_params, tiny_params,
             corpus_index, mixed_corpus, PrfDepth(2),
-            PrfTemplate(TemplateKind.TCT, max_len=64), 4, CasePolicy.PRESERVE,
-        )
-    assert corpus_index.checksum == before
+            PrfTemplate(TemplateKind.TCT, max_len=64), 4, CasePolicy.PRESERVE)
+    first = prf_retrieve(*args)
+    for _ in range(2):
+        assert prf_retrieve(*args) == first
+    assert corpus_index == before
+    assert corpus_index.checksum == before.checksum
 
 
 def test_prf_uses_distinct_encoders(
@@ -302,15 +301,14 @@ def test_casing_policy_changes_prf_ranking(
 
 
 def test_counters_accumulate_across_queries(
-    mixed_corpus, mixed_vocab, tiny_params, corpus_index
+    mixed_corpus, mixed_vocab, tiny_params, corpus_index, retrieval_calls
 ):
-    counters = RetrievalCounters()
     queries = ["quantum flux", "garden gnomes", "overnight drift"]
     for q in queries:
         prf_retrieve(
             q, mixed_vocab, tiny_params, tiny_params, corpus_index,
             mixed_corpus, PrfDepth(1), PrfTemplate(TemplateKind.ANCE, max_len=64),
-            3, CasePolicy.LOWERCASE, counters,
+            3, CasePolicy.LOWERCASE,
         )
-    assert counters.encode_calls == 2 * len(queries)
-    assert counters.search_calls == 2 * len(queries)
+    assert retrieval_calls["encode"] == 2 * len(queries)
+    assert retrieval_calls["search"] == 2 * len(queries)

@@ -1,3 +1,7 @@
+import runpy
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -227,3 +231,16 @@ def test_query_text_tokenizes_cleanly():
     for _, text in task.eval_queries:
         for tok in split_text(text):
             assert tok in vocab
+
+
+def test_synthetic_experiment_script_smoke(monkeypatch, capsys):
+    # One epoch keeps it to a few seconds; round one, the step-0 readout and
+    # the index do not depend on training.
+    script = Path(__file__).resolve().parents[1] / "scripts" / "run_synthetic_experiment.py"
+    monkeypatch.setattr(sys, "argv", [str(script), "--seed", "0", "--epochs", "1"])
+    runpy.run_path(str(script), run_name="__main__")
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "seed 0: 30 topics, 3000 docs, 200 train / 50 eval queries"
+    assert "first-round MRR@10: 0.6678" in lines
+    assert "step-0 feedback MRR@10 (untrained encoder): 0.6774" in lines
+    assert lines[-1] == "index checksum: 00db76a86ac4d41a"

@@ -52,12 +52,6 @@ def test_preserve_distinguishes_case_when_both_known():
     assert upper.ids != lower.ids
 
 
-def test_policy_recorded_on_sequence():
-    vocab = build_vocab(["a b"])
-    assert tokenize("a", vocab, CasePolicy.PRESERVE).policy_used is CasePolicy.PRESERVE
-    assert tokenize("a", vocab, CasePolicy.LOWERCASE).policy_used is CasePolicy.LOWERCASE
-
-
 def test_unknown_tokens_fall_back_to_unk():
     vocab = build_vocab(["known words only"])
     seq = tokenize("known mystery", vocab, CasePolicy.PRESERVE)

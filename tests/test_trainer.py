@@ -42,7 +42,7 @@ DIM = 8
 
 
 def seq(*ids):
-    return TokenSequence(ids=tuple(ids), policy_used=CasePolicy.PRESERVE)
+    return TokenSequence(ids=tuple(ids))
 
 
 def small_params(seed=3):
